@@ -8,6 +8,7 @@
 
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace pathfuzz {
@@ -38,86 +39,184 @@ struct BucketLut {
 
 const BucketLut Buckets;
 
+/// Map words per summary line.
+constexpr uint32_t WordsPerLine = (1u << CoverageMap::LineShift) / 8;
+
+/// FnvPrime^N mod 2^64. FNV-1a over a zero byte is a bare multiply, so a
+/// run of N zero bytes folds into the hash as one multiply by this.
+uint64_t fnvPrimePow(uint64_t N) {
+  uint64_t Result = 1;
+  for (uint64_t Base = FnvPrime; N; N >>= 1, Base *= Base)
+    if (N & 1)
+      Result *= Base;
+  return Result;
+}
+
+/// The eight counts of one map word, bucketed.
+inline uint64_t classifyWord(uint64_t W) {
+  uint64_t Out = 0;
+  for (int Shift = 0; Shift < 64; Shift += 8)
+    Out |= uint64_t(Buckets.Lut[(W >> Shift) & 0xff]) << Shift;
+  return Out;
+}
+
+/// has_new_bits for one word: clear the classified trace word Cur's bits
+/// from the virgin word V and return what that found. An entry is a new
+/// edge when its virgin byte was still all ones.
+inline Novelty updateVirginWord(uint64_t Cur, uint64_t &V) {
+  if (!(Cur & V))
+    return Novelty::None;
+  const uint64_t Old = V;
+  V = Old & ~Cur;
+  for (int Shift = 0; Shift < 64; Shift += 8)
+    if (((Cur >> Shift) & 0xff) && ((Old >> Shift) & 0xff) == 0xff)
+      return Novelty::NewEdges;
+  return Novelty::NewCounts;
+}
+
 } // namespace
 
 CoverageMap::CoverageMap(uint32_t SizeLog2) {
   assert(SizeLog2 >= 4 && SizeLog2 <= 24 && "unreasonable map size");
-  Map.assign(1u << SizeLog2, 0);
+  Size = 1u << SizeLog2;
+  Words.assign(Size / 8, 0);
+  NumLines = std::max<uint32_t>(1, Size >> LineShift);
+  LineGroups.assign((NumLines + 7) / 8, 0);
+}
+
+template <typename F> void CoverageMap::forEachLine(F &&Fn) const {
+  const uint32_t NumWords = static_cast<uint32_t>(Words.size());
+  if (!Tracked) {
+    Fn(0, NumWords);
+    return;
+  }
+  // A map smaller than one line is a single short line.
+  const uint32_t LineWords = std::min(WordsPerLine, NumWords);
+  for (uint32_t G = 0; G < LineGroups.size(); ++G) {
+    if (!LineGroups[G])
+      continue;
+    const auto *Marks = reinterpret_cast<const uint8_t *>(&LineGroups[G]);
+    for (uint32_t K = 0; K < 8; ++K)
+      if (Marks[K]) {
+        const uint32_t First = (G * 8 + K) * LineWords;
+        Fn(First, First + LineWords);
+      }
+  }
+}
+
+void CoverageMap::reset() {
+  uint64_t *W = Words.data();
+  forEachLine(
+      [W](uint32_t First, uint32_t End) { std::fill(W + First, W + End, 0); });
+  std::fill(LineGroups.begin(), LineGroups.end(), 0);
 }
 
 void CoverageMap::classifyCounts() {
-  // Word-at-a-time with zero skipping: traces are sparse and this runs on
-  // every execution (AFL applies the same optimization).
-  auto *Words = reinterpret_cast<uint64_t *>(Map.data());
-  size_t NumWords = Map.size() / 8;
-  for (size_t W = 0; W < NumWords; ++W) {
-    if (!Words[W])
-      continue;
-    auto *Bytes = reinterpret_cast<uint8_t *>(&Words[W]);
-    for (int I = 0; I < 8; ++I)
-      Bytes[I] = Buckets.Lut[Bytes[I]];
-  }
+  // Zero words skipped: traces are sparse and this runs on every
+  // execution (AFL applies the same optimization).
+  uint64_t *W = Words.data();
+  forEachLine([W](uint32_t First, uint32_t End) {
+    for (uint32_t I = First; I < End; ++I)
+      if (W[I])
+        W[I] = classifyWord(W[I]);
+  });
 }
 
 uint32_t CoverageMap::countBytes() const {
   uint32_t N = 0;
-  for (uint8_t B : Map)
-    N += (B != 0);
+  const uint64_t *W = Words.data();
+  forEachLine([&](uint32_t First, uint32_t End) {
+    for (uint32_t I = First; I < End; ++I) {
+      if (!W[I])
+        continue;
+      const auto *B = reinterpret_cast<const uint8_t *>(&W[I]);
+      for (int K = 0; K < 8; ++K)
+        N += (B[K] != 0);
+    }
+  });
   return N;
 }
 
 uint64_t CoverageMap::checksum() const {
-  return fnv1a(Map.data(), Map.size());
+  // fnv1a over the whole map, folding every run of zero words (inside the
+  // visited ranges and across unmarked lines) in as one multiply.
+  uint64_t H = FnvOffsetBasis;
+  uint64_t Zeros = 0; // zero bytes not yet folded into H
+  uint32_t Next = 0;  // first word not yet accounted for
+  const uint64_t *W = Words.data();
+  forEachLine([&](uint32_t First, uint32_t End) {
+    Zeros += uint64_t(First - Next) * 8;
+    for (uint32_t I = First; I < End; ++I) {
+      if (!W[I]) {
+        Zeros += 8;
+        continue;
+      }
+      H = fnv1a(&W[I], 8, H * fnvPrimePow(Zeros));
+      Zeros = 0;
+    }
+    Next = End;
+  });
+  Zeros += uint64_t(Words.size() - Next) * 8;
+  return H * fnvPrimePow(Zeros);
+}
+
+void CoverageMap::nonzeroIndices(std::vector<uint32_t> &Out) const {
+  const uint64_t *W = Words.data();
+  forEachLine([&](uint32_t First, uint32_t End) {
+    for (uint32_t I = First; I < End; ++I) {
+      if (!W[I])
+        continue;
+      const auto *B = reinterpret_cast<const uint8_t *>(&W[I]);
+      for (uint32_t K = 0; K < 8; ++K)
+        if (B[K])
+          Out.push_back(I * 8 + K);
+    }
+  });
 }
 
 uint8_t CoverageMap::bucketFor(uint8_t Count) { return Buckets.Lut[Count]; }
 
-VirginMap::VirginMap(uint32_t Size) { Virgin.assign(Size, 0xff); }
+VirginMap::VirginMap(uint32_t Size) : Size(Size) {
+  assert(Size % 8 == 0 && "virgin map must hold whole words");
+  Virgin.assign(Size / 8, ~uint64_t(0));
+}
 
 Novelty VirginMap::hasNewBits(const CoverageMap &Trace) {
-  assert(Trace.size() == Virgin.size() && "map size mismatch");
+  assert(Trace.size() == Size && "map size mismatch");
   Novelty Result = Novelty::None;
-  const auto *TW = reinterpret_cast<const uint64_t *>(Trace.data());
-  auto *VW = reinterpret_cast<uint64_t *>(Virgin.data());
-  size_t NumWords = Virgin.size() / 8;
-  for (size_t W = 0; W < NumWords; ++W) {
-    uint64_t Cur = TW[W];
-    if (!Cur || !(Cur & VW[W]))
-      continue;
-    const auto *TB = reinterpret_cast<const uint8_t *>(&TW[W]);
-    auto *VB = reinterpret_cast<uint8_t *>(&VW[W]);
-    for (int I = 0; I < 8; ++I) {
-      uint8_t C = TB[I];
-      if (C && (C & VB[I])) {
-        if (Result != Novelty::NewEdges)
-          Result = (VB[I] == 0xff) ? Novelty::NewEdges : Novelty::NewCounts;
-        VB[I] &= static_cast<uint8_t>(~C);
-      }
-    }
-  }
+  const uint64_t *TW = Trace.Words.data();
+  uint64_t *VW = Virgin.data();
+  Trace.forEachLine([&Result, TW, VW](uint32_t First, uint32_t End) {
+    for (uint32_t W = First; W < End; ++W)
+      if (TW[W])
+        Result = std::max(Result, updateVirginWord(TW[W], VW[W]));
+  });
   return Result;
 }
 
-Novelty VirginMap::wouldHaveNewBits(const CoverageMap &Trace) const {
-  assert(Trace.size() == Virgin.size() && "map size mismatch");
+Novelty VirginMap::classifyAndUpdate(CoverageMap &Trace) {
+  assert(Trace.size() == Size && "map size mismatch");
   Novelty Result = Novelty::None;
-  const uint8_t *T = Trace.data();
-  for (size_t I = 0; I < Virgin.size(); ++I) {
-    uint8_t Cur = T[I];
-    uint8_t V = Virgin[I];
-    if (Cur && (Cur & V)) {
-      if (V == 0xff)
-        return Novelty::NewEdges;
-      Result = Novelty::NewCounts;
+  uint64_t *TW = Trace.Words.data();
+  uint64_t *VW = Virgin.data();
+  Trace.forEachLine([&Result, TW, VW](uint32_t First, uint32_t End) {
+    for (uint32_t W = First; W < End; ++W) {
+      if (!TW[W])
+        continue;
+      TW[W] = classifyWord(TW[W]);
+      Result = std::max(Result, updateVirginWord(TW[W], VW[W]));
     }
-  }
+  });
   return Result;
 }
 
 uint32_t VirginMap::coveredEntries() const {
   uint32_t N = 0;
-  for (uint8_t V : Virgin)
-    N += (V != 0xff);
+  for (const uint64_t &W : Virgin) {
+    const auto *B = reinterpret_cast<const uint8_t *>(&W);
+    for (int K = 0; K < 8; ++K)
+      N += (B[K] != 0xff);
+  }
   return N;
 }
 

@@ -19,6 +19,15 @@
 // the map (edges vs (path_id ^ function) values), so the same CoverageMap
 // serves every fuzzer configuration in this reproduction.
 //
+// Trace-proportional cost: beside the map sits a line summary, one byte per
+// 64-byte map line. An engine bound through probeView() sets
+// Lines[Index >> LineShift] with every map write, so reset, classification,
+// novelty, checksum and index extraction visit only the lines the last
+// execution touched. A map whose mutable data() was ever handed out is
+// *untracked* for good (writes through that pointer bypass the summary),
+// and every pass walks the whole map instead. Both modes produce
+// byte-identical results; the untracked passes are the reference.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef PATHFUZZ_COV_COVERAGEMAP_H
@@ -41,15 +50,46 @@ enum class Novelty : uint8_t {
 /// The per-execution trace map plus helpers. Size is a power of two.
 class CoverageMap {
 public:
+  /// log2 of the map bytes one summary line covers.
+  static constexpr uint32_t LineShift = 6;
+
   explicit CoverageMap(uint32_t SizeLog2 = 16);
 
-  uint8_t *data() { return Map.data(); }
-  const uint8_t *data() const { return Map.data(); }
-  uint32_t size() const { return static_cast<uint32_t>(Map.size()); }
+  /// Where an engine writes one execution (vm::FeedbackContext's Map and
+  /// MapLines). Lines is null once the map is untracked.
+  struct ProbeView {
+    uint8_t *Map;
+    uint8_t *Lines;
+  };
+
+  /// The engine binding that keeps the map tracked: the caller promises
+  /// that every write to Map[I] also sets Lines[I >> LineShift] = 1.
+  ProbeView probeView() { return {bytes(), Tracked ? lineBytes() : nullptr}; }
+
+  /// Mutable byte view. Handing it out untracks the map for good: writes
+  /// through it bypass the line summary, so every later pass walks the
+  /// whole map.
+  uint8_t *data() {
+    Tracked = false;
+    return bytes();
+  }
+  const uint8_t *data() const {
+    return reinterpret_cast<const uint8_t *>(Words.data());
+  }
+  uint32_t size() const { return Size; }
   uint32_t mask() const { return size() - 1; }
 
+  /// Whether passes walk marked lines only (no mutable data() escaped).
+  bool tracked() const { return Tracked; }
+  /// The line summary: numLines() bytes, nonzero for each line written
+  /// since the last reset (meaningful only while tracked()).
+  const uint8_t *lines() const {
+    return reinterpret_cast<const uint8_t *>(LineGroups.data());
+  }
+  uint32_t numLines() const { return NumLines; }
+
   /// Zero the map (before each execution).
-  void reset() { std::memset(Map.data(), 0, Map.size()); }
+  void reset();
 
   /// Bucket raw hit counts in place (AFL's classify_counts).
   void classifyCounts();
@@ -58,14 +98,36 @@ public:
   uint32_t countBytes() const;
 
   /// 64-bit checksum of the classified map (AFL's execution checksum used
-  /// for calibration stability checks).
+  /// for calibration stability checks): fnv1a over all size() bytes.
   uint64_t checksum() const;
+
+  /// Append the indices of nonzero entries to Out, ascending.
+  void nonzeroIndices(std::vector<uint32_t> &Out) const;
 
   /// Bucket a single raw count (exposed for tests).
   static uint8_t bucketFor(uint8_t Count);
 
 private:
-  std::vector<uint8_t> Map;
+  friend class VirginMap;
+
+  uint8_t *bytes() { return reinterpret_cast<uint8_t *>(Words.data()); }
+  uint8_t *lineBytes() {
+    return reinterpret_cast<uint8_t *>(LineGroups.data());
+  }
+
+  /// Call Fn(FirstWord, EndWord) for each word range that may hold nonzero
+  /// words, ascending: every marked line when tracked, else the whole map.
+  template <typename F> void forEachLine(F &&Fn) const;
+
+  /// The map, as whole words so the passes can skip zero words without
+  /// reading byte storage through a wider type.
+  std::vector<uint64_t> Words;
+  /// The line summary, eight line bytes per word (the tail beyond
+  /// NumLines is never marked).
+  std::vector<uint64_t> LineGroups;
+  uint32_t Size = 0;
+  uint32_t NumLines = 0;
+  bool Tracked = true;
 };
 
 /// The accumulated "virgin" view of everything seen so far. Starts all-FF.
@@ -77,25 +139,28 @@ public:
   /// map with anything new. Mirrors AFL++'s has_new_bits.
   Novelty hasNewBits(const CoverageMap &Trace);
 
-  /// Non-updating variant.
-  Novelty wouldHaveNewBits(const CoverageMap &Trace) const;
+  /// Trace.classifyCounts() then hasNewBits(Trace), fused into one pass.
+  Novelty classifyAndUpdate(CoverageMap &Trace);
 
   /// Number of map entries observed at least once.
   uint32_t coveredEntries() const;
 
-  const uint8_t *data() const { return Virgin.data(); }
+  const uint8_t *data() const {
+    return reinterpret_cast<const uint8_t *>(Virgin.data());
+  }
 
   /// Overwrite the accumulated view with Size bytes captured from another
   /// virgin map (snapshot restore); false on size mismatch.
   bool restoreFrom(const uint8_t *Data, size_t Size) {
-    if (Size != Virgin.size())
+    if (Size != this->Size)
       return false;
     std::memcpy(Virgin.data(), Data, Size);
     return true;
   }
 
 private:
-  std::vector<uint8_t> Virgin;
+  std::vector<uint64_t> Virgin;
+  uint32_t Size = 0;
 };
 
 } // namespace cov

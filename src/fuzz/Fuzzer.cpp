@@ -15,6 +15,9 @@
 namespace pathfuzz {
 namespace fuzz {
 
+static_assert(cov::CoverageMap::LineShift == vm::MapLineShift,
+              "engines mark the line granularity the map summarizes");
+
 Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
                const instr::ShadowEdgeIndex &Shadow, FuzzerOptions Opts)
     : M(M), Report(Report), Opts(Opts), Machine(M, &Shadow),
@@ -86,8 +89,10 @@ Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
 
 vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
   Trace.reset();
+  cov::CoverageMap::ProbeView View = Trace.probeView();
   vm::FeedbackContext Fb;
-  Fb.Map = Trace.data();
+  Fb.Map = View.Map;
+  Fb.MapLines = View.Lines;
   Fb.MapMask = Trace.mask();
   Fb.FuncKeys = Report.FuncKeys.data();
   Fb.CallPathHash = Opts.PathAflAssist;
@@ -244,8 +249,7 @@ bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
   if (SkipNovelty && !ForceAdd)
     return false;
 
-  Trace.classifyCounts();
-  cov::Novelty Nov = Virgin.hasNewBits(Trace);
+  cov::Novelty Nov = Virgin.classifyAndUpdate(Trace);
   if (Nov == cov::Novelty::None && !ForceAdd)
     return false;
 
@@ -256,17 +260,7 @@ bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
   E.Depth = Depth;
   E.FoundAtExec = Stats.Execs;
   E.EdgeSet = Res.ShadowEdges;
-  // Word-skipping scan: traces are sparse and entries are added often
-  // under the path feedback.
-  const auto *Words = reinterpret_cast<const uint64_t *>(Trace.data());
-  const uint8_t *T = Trace.data();
-  for (uint32_t W = 0; W < Trace.size() / 8; ++W) {
-    if (!Words[W])
-      continue;
-    for (uint32_t I = W * 8; I < W * 8 + 8; ++I)
-      if (T[I])
-        E.MapSet.push_back(I);
-  }
+  Trace.nonzeroIndices(E.MapSet);
   E.Density = static_cast<uint32_t>(E.MapSet.size());
 
   Stats.LastFindExec = Stats.Execs;

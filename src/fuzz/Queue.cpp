@@ -12,20 +12,29 @@
 namespace pathfuzz {
 namespace fuzz {
 
-Corpus::Corpus(uint32_t MapSize) { TopRated.assign(MapSize, -1); }
+Corpus::Corpus(uint32_t MapSize) {
+  TopRated.assign(MapSize, -1);
+  Uncovered.assign(MapSize, 0);
+}
 
 void Corpus::add(QueueEntry Entry) {
   int32_t Index = static_cast<int32_t>(Entries.size());
   Entries.push_back(std::move(Entry));
   const QueueEntry &E = Entries.back();
 
+  const size_t OldOwned = Owned.size();
   for (uint32_t MapIdx : E.MapSet) {
     int32_t Cur = TopRated[MapIdx];
+    if (Cur < 0)
+      Owned.push_back(MapIdx);
     if (Cur < 0 || E.score() < Entries[static_cast<size_t>(Cur)].score()) {
       TopRated[MapIdx] = Index;
       NeedCull = true;
     }
   }
+  // MapSet is sorted, so the newly owned indices are too.
+  if (Owned.size() != OldOwned)
+    std::inplace_merge(Owned.begin(), Owned.begin() + OldOwned, Owned.end());
 }
 
 void Corpus::cullIfNeeded() {
@@ -47,11 +56,13 @@ void Corpus::recomputeFavored() {
   for (QueueEntry &E : Entries)
     E.Favored = false;
 
-  // AFL's cull_queue: walk the map; the first top-rated entry owning a
-  // still-uncovered index becomes favored and claims its whole trace.
-  std::vector<uint8_t> Uncovered(TopRated.size(), 1);
-  for (size_t MapIdx = 0; MapIdx < TopRated.size(); ++MapIdx) {
-    if (!Uncovered[MapIdx] || TopRated[MapIdx] < 0)
+  // AFL's cull_queue: walk the map in index order; the first top-rated
+  // entry owning a still-uncovered index becomes favored and claims its
+  // whole trace. Indices nobody owns are skipped without being visited.
+  for (uint32_t MapIdx : Owned)
+    Uncovered[MapIdx] = 1;
+  for (uint32_t MapIdx : Owned) {
+    if (!Uncovered[MapIdx])
       continue;
     QueueEntry &E = Entries[static_cast<size_t>(TopRated[MapIdx])];
     E.Favored = true;
@@ -69,6 +80,11 @@ void Corpus::restoreState(std::vector<QueueEntry> NewEntries,
                           uint32_t NewPendingFavored, uint64_t NewCullPasses) {
   Entries = std::move(NewEntries);
   TopRated = std::move(NewTopRated);
+  Owned.clear();
+  for (uint32_t MapIdx = 0; MapIdx < TopRated.size(); ++MapIdx)
+    if (TopRated[MapIdx] >= 0)
+      Owned.push_back(MapIdx);
+  Uncovered.assign(TopRated.size(), 0);
   NeedCull = NewNeedCull;
   PendingFavoredCount = NewPendingFavored;
   CullPasses = NewCullPasses;

@@ -112,6 +112,13 @@ public:
 private:
   std::vector<QueueEntry> Entries;
   std::vector<int32_t> TopRated; ///< per map index: best entry or -1
+  /// Map indices whose TopRated slot is taken, ascending: the cull walks
+  /// these instead of the whole table. Derived from TopRated, so snapshots
+  /// do not carry it.
+  std::vector<uint32_t> Owned;
+  /// Cull scratch, one byte per map index. Only Owned slots are read, and
+  /// each pass re-arms them first, so it is never cleared.
+  std::vector<uint8_t> Uncovered;
   bool NeedCull = false;
   uint32_t PendingFavoredCount = 0;
   uint64_t CullPasses = 0;

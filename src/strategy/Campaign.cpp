@@ -783,7 +783,11 @@ bool readOptionsFingerprint(ByteReader &Rd, CampaignOptions &Opts) {
     return false;
   Opts.ExecBudget = Rd.u64();
   Opts.Seed = Rd.u64();
+  // The manifest envelope is an integrity check, not a MAC: bound the map
+  // size to what cov::CoverageMap accepts before it reaches a shift.
   Opts.MapSizeLog2 = Rd.u32();
+  if (Opts.MapSizeLog2 < 4 || Opts.MapSizeLog2 > 24)
+    return false;
   Opts.CullRounds = Rd.u32();
   Opts.MaxInputLen = Rd.u64();
   Opts.StepLimit = Rd.u64();

@@ -21,14 +21,18 @@
 
 namespace pathfuzz {
 
+/// 64-bit FNV-1a's offset basis and prime.
+constexpr uint64_t FnvOffsetBasis = 0xcbf29ce484222325ULL;
+constexpr uint64_t FnvPrime = 0x100000001b3ULL;
+
 /// FNV-1a over a byte buffer.
 inline uint64_t fnv1a(const void *Data, size_t Size,
-                      uint64_t Seed = 0xcbf29ce484222325ULL) {
+                      uint64_t Seed = FnvOffsetBasis) {
   const auto *Bytes = static_cast<const unsigned char *>(Data);
   uint64_t H = Seed;
   for (size_t I = 0; I < Size; ++I) {
     H ^= Bytes[I];
-    H *= 0x100000001b3ULL;
+    H *= FnvPrime;
   }
   return H;
 }

@@ -69,10 +69,12 @@ namespace {
 /// Tagged pointer base; must match Vm.cpp.
 constexpr int64_t PtrBase = int64_t(1) << 56;
 
-/// AFL++-style "NeverZero" saturating counter bump; must match Vm.cpp.
-inline void bump(uint8_t *Map, uint32_t Index) {
+/// AFL++-style "NeverZero" saturating counter bump plus the map-line mark;
+/// must match Vm.cpp.
+inline void bump(uint8_t *Map, uint8_t *Lines, uint32_t Index) {
   uint8_t V = static_cast<uint8_t>(Map[Index] + 1);
   Map[Index] = V ? V : 1;
+  Lines[Index >> MapLineShift] = 1;
 }
 
 /// Comparison-operand capture for the cmplog stage; the filter (only
@@ -217,6 +219,7 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
 
   uint8_t *Map = Fb ? Fb->Map : nullptr;
   const uint32_t MapMask = Fb ? Fb->MapMask : 0;
+  uint8_t *const Lines = mapLines(Fb);
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0x50a7af1dULL;
   const bool RecordEdges = Opts.RecordShadowEdges && Shadow;
@@ -491,7 +494,7 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
     }
     if (DoCallHash && (I->Flags & DInstr::FlagCallSelected)) {
       CallHash = mix64(CallHash ^ (I->Y + 0x517cc1b727220a95ULL));
-      bump(Map, static_cast<uint32_t>(CallHash) & MapMask);
+      bump(Map, Lines, static_cast<uint32_t>(CallHash) & MapMask);
     }
     int64_t ArgVals[mir::MaxCallArgs];
     const unsigned NumArgs = I->NumArgs;
@@ -526,15 +529,15 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
 
   PF_OP(EdgeProbe) {
     if (Map)
-      bump(Map, static_cast<uint32_t>(I->Imm) & MapMask);
+      bump(Map, Lines, static_cast<uint32_t>(I->Imm) & MapMask);
   }
   PF_NEXT();
 
   PF_OP(BlockProbe) {
     if (Map) {
-      bump(Map, (static_cast<uint32_t>(I->Imm) ^
-                 static_cast<uint32_t>(PrevLoc)) &
-                    MapMask);
+      bump(Map, Lines,
+           (static_cast<uint32_t>(I->Imm) ^ static_cast<uint32_t>(PrevLoc)) &
+               MapMask);
       PrevLoc = static_cast<uint64_t>(I->Imm) >> 1;
     }
   }
@@ -547,8 +550,9 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
     if (Map) {
       int64_t PathId = Regs[I->A] + I->Imm;
       uint64_t Key = Fb->FuncKeys ? Fb->FuncKeys[I->Y] : 0;
-      bump(Map, static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
-                    MapMask);
+      bump(Map, Lines,
+           static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
+               MapMask);
     }
   }
   PF_NEXT();
@@ -557,8 +561,9 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
     if (Map) {
       int64_t PathId = Regs[I->A] + I->Imm;
       uint64_t Key = Fb->FuncKeys ? Fb->FuncKeys[I->Y] : 0;
-      bump(Map, static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
-                    MapMask);
+      bump(Map, Lines,
+           static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
+               MapMask);
     }
     Regs[I->A] = Pool[I->X];
   }
@@ -688,8 +693,9 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
     if (Map) {
       int64_t PathId = Regs[I->A] + I->Imm;
       uint64_t Key = Fb->FuncKeys ? Fb->FuncKeys[I->Y] : 0;
-      bump(Map, static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
-                    MapMask);
+      bump(Map, Lines,
+           static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
+               MapMask);
     }
   }
   PF_CHAIN(Ret);

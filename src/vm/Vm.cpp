@@ -24,10 +24,12 @@ namespace {
 /// BadPointer, the wild-pointer analogue.
 constexpr int64_t PtrBase = int64_t(1) << 56;
 
-/// AFL++-style "NeverZero" saturating counter bump.
-inline void bump(uint8_t *Map, uint32_t Index) {
+/// AFL++-style "NeverZero" saturating counter bump, plus the map-line mark
+/// (FeedbackContext::MapLines).
+inline void bump(uint8_t *Map, uint8_t *Lines, uint32_t Index) {
   uint8_t V = static_cast<uint8_t>(Map[Index] + 1);
   Map[Index] = V ? V : 1;
+  Lines[Index >> MapLineShift] = 1;
 }
 
 } // namespace
@@ -107,6 +109,17 @@ void Vm::attachJit(const jit::JitProgram *J) {
   Jp = J;
 }
 
+uint8_t *Vm::mapLines(const FeedbackContext *Fb) {
+  if (!Fb || !Fb->Map)
+    return nullptr;
+  if (Fb->MapLines)
+    return Fb->MapLines;
+  const size_t N = (static_cast<size_t>(Fb->MapMask) >> MapLineShift) + 1;
+  if (LineSink.size() < N)
+    LineSink.resize(N);
+  return LineSink.data();
+}
+
 ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
                    FeedbackContext *Fb) {
   if (Jp)
@@ -125,6 +138,7 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
 
   uint8_t *Map = Fb ? Fb->Map : nullptr;
   uint32_t MapMask = Fb ? Fb->MapMask : 0;
+  uint8_t *Lines = mapLines(Fb);
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0x50a7af1dULL;
   bool RecordEdges = Opts.RecordShadowEdges && Shadow;
@@ -425,7 +439,7 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
           // running hash indexed into the map.
           if ((mix64(I.Callee * 0x9e3779b97f4a7c15ULL) & 3) == 0) {
             CallHash = mix64(CallHash ^ (I.Callee + 0x517cc1b727220a95ULL));
-            bump(Map, static_cast<uint32_t>(CallHash) & MapMask);
+            bump(Map, Lines, static_cast<uint32_t>(CallHash) & MapMask);
           }
         }
         int64_t ArgVals[mir::MaxCallArgs];
@@ -440,11 +454,11 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
       }
       case mir::Opcode::EdgeProbe:
         if (Map)
-          bump(Map, static_cast<uint32_t>(I.Imm) & MapMask);
+          bump(Map, Lines, static_cast<uint32_t>(I.Imm) & MapMask);
         break;
       case mir::Opcode::BlockProbe:
         if (Map) {
-          bump(Map,
+          bump(Map, Lines,
                (static_cast<uint32_t>(I.Imm) ^ static_cast<uint32_t>(PrevLoc)) &
                    MapMask);
           PrevLoc = static_cast<uint64_t>(I.Imm) >> 1;
@@ -458,7 +472,7 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
         int64_t PathId = Regs[Fn.PathReg] + I.Imm;
         if (Map) {
           uint64_t Key = Fb->FuncKeys ? Fb->FuncKeys[Fr.Func] : 0;
-          bump(Map,
+          bump(Map, Lines,
                static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
                    MapMask);
         }

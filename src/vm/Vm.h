@@ -110,10 +110,20 @@ struct Fault {
   uint64_t stackHash(unsigned Frames = 5) const;
 };
 
+/// log2 of the coverage-map bytes one FeedbackContext::MapLines byte
+/// summarizes (cov::CoverageMap::LineShift).
+constexpr uint32_t MapLineShift = 6;
+
 /// Feedback plumbing: where probes write. Null Map disables feedback.
 struct FeedbackContext {
   uint8_t *Map = nullptr;
   uint32_t MapMask = 0; ///< map size minus one (size is a power of two)
+  /// Line summary of Map: every probe write to Map[I] also stores
+  /// MapLines[I >> MapLineShift] = 1, so the map's owner can reset and scan
+  /// only the lines an execution touched. Null when the caller tracks no
+  /// lines; the engines then mark a Vm-owned sink, keeping the store
+  /// branch-free.
+  uint8_t *MapLines = nullptr;
   /// Per-function keys for path-map indexing: (path_id ^ key) & MapMask,
   /// the paper's (path_id XOR function) % map_size scheme.
   const uint64_t *FuncKeys = nullptr;
@@ -260,6 +270,10 @@ private:
   /// previous execution dirtied.
   void resetGlobalsFromImage();
 
+  /// Where this run's map-line marks go: Fb->MapLines, or LineSink when
+  /// the caller tracks none. Null when the run writes no map.
+  uint8_t *mapLines(const FeedbackContext *Fb);
+
   const mir::Module &M;
   const instr::ShadowEdgeIndex *Shadow;
   int MainIndex = -1;
@@ -271,6 +285,8 @@ private:
   std::vector<int64_t> Cells;
   std::vector<uint8_t> EdgeSeen;
   std::vector<uint32_t> EdgeTouched;
+  /// Line-mark target for untracked maps (see mapLines); never read.
+  std::vector<uint8_t> LineSink;
 
   // Fast-path state (meaningful only while Img is attached).
   const ProgramImage *Img = nullptr;

@@ -92,6 +92,7 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   S.CellsN = Cells.size();
   S.Map = Fb ? Fb->Map : nullptr;
   S.MapMask = Fb ? Fb->MapMask : 0;
+  S.MapLines = mapLines(Fb);
   S.PrevLoc = 0;
   S.CallHash = 0x50a7af1dULL;
   S.Sig = 0;

@@ -79,6 +79,7 @@ extern "C" void pfJitCallHash(JitState *S, uint32_t Callee) {
                        static_cast<uint32_t>(S->MapMask);
   const uint8_t V = static_cast<uint8_t>(S->Map[Idx] + 1);
   S->Map[Idx] = V ? V : 1;
+  S->MapLines[Idx >> MapLineShift] = 1;
 }
 
 } // namespace jit

@@ -64,6 +64,9 @@ struct JitState {
   uint64_t CellsN = 0;
   uint8_t *Map = nullptr;
   uint64_t MapMask = 0;
+  /// FeedbackContext::MapLines or the Vm's sink; the bump template marks
+  /// MapLines[idx >> MapLineShift]. Non-null whenever Map is.
+  uint8_t *MapLines = nullptr;
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0;
   uint64_t Sig = 0;

@@ -6,9 +6,13 @@
 
 #include "cov/CoverageMap.h"
 
+#include "support/Hashing.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 using namespace pathfuzz;
 using namespace pathfuzz::cov;
@@ -73,6 +77,105 @@ TEST(CoverageMap, CountBytes) {
   EXPECT_EQ(Map.countBytes(), 0u);
 }
 
+/// The tracked passes (marked lines only) against the untracked full-map
+/// reference, on identical random traces. Sizes cover a map smaller than
+/// one line (2^4), exactly one line (2^6) and multi-line maps; indices are
+/// drawn with a bias toward the first and last line.
+TEST(CoverageMap, TrackedPassesMatchFullMapReference) {
+  Rng R(0x11fe5);
+  for (uint32_t Log2 : {4u, 6u, 10u, 16u}) {
+    CoverageMap Tracked(Log2), Ref(Log2);
+    uint8_t *RefBytes = Ref.data(); // escapes: Ref is the reference
+    const CoverageMap &T = Tracked; // const reads keep Tracked tracked
+    ASSERT_FALSE(Ref.tracked());
+    VirginMap VT(T.size()), VR(Ref.size());
+    const uint32_t Size = T.size();
+    const uint32_t Edge = std::min<uint32_t>(Size, 64);
+    for (int Round = 0; Round < 60; ++Round) {
+      std::string What =
+          "2^" + std::to_string(Log2) + " round " + std::to_string(Round);
+      Tracked.reset();
+      Ref.reset();
+      for (uint32_t L = 0; L < T.numLines(); ++L)
+        ASSERT_EQ(T.lines()[L], 0) << What << ": line " << L << " after reset";
+
+      CoverageMap::ProbeView View = Tracked.probeView();
+      ASSERT_NE(View.Lines, nullptr) << What;
+      const unsigned Hits = static_cast<unsigned>(R.below(24));
+      for (unsigned K = 0; K < Hits; ++K) {
+        uint32_t Idx;
+        switch (R.below(3)) {
+        case 0:
+          Idx = static_cast<uint32_t>(R.below(Edge));
+          break;
+        case 1:
+          Idx = Size - 1 - static_cast<uint32_t>(R.below(Edge));
+          break;
+        default:
+          Idx = static_cast<uint32_t>(R.below(Size));
+          break;
+        }
+        const uint8_t Count = static_cast<uint8_t>(1 + R.below(255));
+        View.Map[Idx] = Count;
+        View.Lines[Idx >> CoverageMap::LineShift] = 1;
+        RefBytes[Idx] = Count;
+      }
+
+      // Alternate the fused pass and the two separate ones on the tracked
+      // side; the reference always runs them separately.
+      Novelty NT;
+      if (Round % 2) {
+        NT = VT.classifyAndUpdate(Tracked);
+      } else {
+        Tracked.classifyCounts();
+        NT = VT.hasNewBits(Tracked);
+      }
+      Ref.classifyCounts();
+      Novelty NR = VR.hasNewBits(Ref);
+      ASSERT_TRUE(Tracked.tracked()) << What;
+      EXPECT_EQ(NT, NR) << What;
+      ASSERT_EQ(std::memcmp(T.data(), RefBytes, Size), 0)
+          << What << ": classified bytes";
+      ASSERT_EQ(std::memcmp(VT.data(), VR.data(), Size), 0)
+          << What << ": virgin bytes";
+      EXPECT_EQ(VT.coveredEntries(), VR.coveredEntries()) << What;
+
+      std::vector<uint32_t> SetT, SetR, Brute;
+      T.nonzeroIndices(SetT);
+      Ref.nonzeroIndices(SetR);
+      for (uint32_t I = 0; I < Size; ++I)
+        if (RefBytes[I])
+          Brute.push_back(I);
+      EXPECT_EQ(SetT, Brute) << What << ": tracked MapSet";
+      EXPECT_EQ(SetR, Brute) << What << ": reference MapSet";
+      EXPECT_EQ(T.countBytes(), Brute.size()) << What;
+
+      EXPECT_EQ(T.checksum(), fnv1a(T.data(), Size)) << What;
+      EXPECT_EQ(Ref.checksum(), T.checksum()) << What;
+    }
+    Tracked.reset();
+    for (uint32_t L = 0; L < T.numLines(); ++L)
+      ASSERT_EQ(T.lines()[L], 0) << "2^" << Log2 << ": final reset";
+    EXPECT_EQ(T.countBytes(), 0u);
+  }
+}
+
+TEST(CoverageMap, DataEscapeUntracksForGood) {
+  CoverageMap Map(10);
+  EXPECT_TRUE(Map.tracked());
+  EXPECT_NE(Map.probeView().Lines, nullptr);
+  const CoverageMap &C = Map;
+  (void)C.data(); // a read-only view is not an escape
+  EXPECT_TRUE(Map.tracked());
+  Map.data()[700] = 3; // written behind the summary's back
+  EXPECT_FALSE(Map.tracked());
+  EXPECT_EQ(Map.probeView().Lines, nullptr);
+  EXPECT_EQ(Map.countBytes(), 1u);
+  Map.reset();
+  EXPECT_EQ(Map.countBytes(), 0u);
+  EXPECT_FALSE(Map.tracked());
+}
+
 TEST(VirginMap, DetectsNewEdgesThenNewCountsThenNothing) {
   CoverageMap Trace(8);
   VirginMap Virgin(Trace.size());
@@ -94,29 +197,6 @@ TEST(VirginMap, DetectsNewEdgesThenNewCountsThenNothing) {
   Trace.classifyCounts();
   EXPECT_EQ(Virgin.hasNewBits(Trace), Novelty::NewEdges);
   EXPECT_EQ(Virgin.coveredEntries(), 2u);
-}
-
-TEST(VirginMap, WouldHaveAgreesWithHas) {
-  Rng R(3);
-  for (int Round = 0; Round < 50; ++Round) {
-    CoverageMap Trace(6);
-    VirginMap Virgin(Trace.size());
-    // Pre-populate the virgin map.
-    for (int I = 0; I < 20; ++I) {
-      Trace.data()[R.below(Trace.size())] = static_cast<uint8_t>(R.next());
-    }
-    Trace.classifyCounts();
-    Virgin.hasNewBits(Trace);
-
-    CoverageMap Next(6);
-    for (int I = 0; I < 10; ++I)
-      Next.data()[R.below(Next.size())] = static_cast<uint8_t>(R.next());
-    Next.classifyCounts();
-    Novelty Predicted = Virgin.wouldHaveNewBits(Next);
-    Novelty Actual = Virgin.hasNewBits(Next);
-    ASSERT_EQ(Predicted, Actual) << "round " << Round;
-    ASSERT_EQ(Virgin.hasNewBits(Next), Novelty::None);
-  }
 }
 
 } // namespace

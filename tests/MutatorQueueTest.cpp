@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 
 using namespace pathfuzz;
 using namespace pathfuzz::fuzz;
@@ -154,6 +156,81 @@ TEST(Corpus, EdgeSubsetOnRandomCorpusNeverRegresses) {
     for (uint32_t E : Q[I].EdgeSet)
       Covered.insert(E);
   EXPECT_EQ(Covered, All) << "culling must preserve total edge coverage";
+}
+
+/// AFL's cull_queue as a walk over the whole top-rated table: the
+/// reference the owned-index cull must reproduce.
+struct ReferenceCull {
+  std::vector<bool> Favored;
+  uint32_t Pending = 0;
+};
+
+ReferenceCull referenceCull(const Corpus &Q) {
+  const std::vector<int32_t> &Top = Q.topRatedTable();
+  ReferenceCull Out;
+  Out.Favored.assign(Q.size(), false);
+  std::vector<uint8_t> Uncovered(Top.size(), 1);
+  for (size_t MapIdx = 0; MapIdx < Top.size(); ++MapIdx) {
+    if (!Uncovered[MapIdx] || Top[MapIdx] < 0)
+      continue;
+    const size_t E = static_cast<size_t>(Top[MapIdx]);
+    Out.Favored[E] = true;
+    for (uint32_t Idx : Q[E].MapSet)
+      Uncovered[Idx] = 0;
+  }
+  for (size_t E = 0; E < Q.size(); ++E)
+    Out.Pending += Out.Favored[E] && !Q[E].WasFuzzed;
+  return Out;
+}
+
+TEST(Corpus, OwnedIndexCullMatchesFullTableWalk) {
+  constexpr uint32_t MapSize = 1024;
+  Rng R(29);
+  auto randomEntry = [&R] {
+    std::vector<uint32_t> MapSet;
+    unsigned N = 1 + static_cast<unsigned>(R.below(12));
+    for (unsigned K = 0; K < N; ++K)
+      MapSet.push_back(static_cast<uint32_t>(R.below(MapSize)));
+    std::sort(MapSet.begin(), MapSet.end());
+    MapSet.erase(std::unique(MapSet.begin(), MapSet.end()), MapSet.end());
+    return entry(1 + R.below(1000), MapSet);
+  };
+
+  Corpus Q(MapSize);
+  uint64_t Passes = 0;
+  auto step = [&](Corpus &C, uint64_t &CPasses, const QueueEntry &E,
+                  size_t Fuzz, const std::string &What) {
+    C.add(E);
+    if (Fuzz < C.size())
+      C.markFuzzed(Fuzz);
+    CPasses += C.cullPending();
+    C.cullIfNeeded();
+    ReferenceCull Ref = referenceCull(C);
+    for (size_t I = 0; I < C.size(); ++I)
+      ASSERT_EQ(C[I].Favored, Ref.Favored[I]) << What << " entry " << I;
+    ASSERT_EQ(C.pendingFavored(), Ref.Pending) << What;
+    ASSERT_EQ(C.cullPasses(), CPasses) << What;
+  };
+  for (int I = 0; I < 150; ++I) {
+    QueueEntry E = randomEntry();
+    size_t Fuzz = R.oneIn(3) ? R.index(Q.size() + 1) : SIZE_MAX;
+    step(Q, Passes, E, Fuzz, "add " + std::to_string(I));
+  }
+
+  // A restored corpus rebuilds its owned list from the top-rated table and
+  // keeps culling exactly like the original.
+  Corpus Back(MapSize);
+  Back.restoreState(Q.entries(), Q.topRatedTable(), Q.cullPending(),
+                    Q.pendingFavored(), Q.cullPasses());
+  uint64_t BackPasses = Passes;
+  for (int I = 0; I < 100; ++I) {
+    QueueEntry E = randomEntry();
+    size_t Fuzz = R.oneIn(3) ? R.index(Q.size() + 1) : SIZE_MAX;
+    step(Q, Passes, E, Fuzz, "original " + std::to_string(I));
+    step(Back, BackPasses, E, Fuzz, "restored " + std::to_string(I));
+    for (size_t K = 0; K < Q.size(); ++K)
+      ASSERT_EQ(Back[K].Favored, Q[K].Favored) << "restored entry " << K;
+  }
 }
 
 } // namespace

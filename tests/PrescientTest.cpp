@@ -354,6 +354,19 @@ TEST(Prescient, OptionsFingerprintRoundTrip) {
   ByteReader RdBad(Bad);
   CampaignOptions B2;
   EXPECT_FALSE(readOptionsFingerprint(RdBad, B2));
+
+  // Likewise a map size outside the [4, 24] range CoverageMap accepts: a
+  // resumed campaign would shift by it.
+  for (uint32_t Log2 : {0u, 3u, 25u, 32u, 0xffffffffu}) {
+    CampaignOptions Huge = O;
+    Huge.MapSizeLog2 = Log2;
+    ByteWriter WH;
+    writeOptionsFingerprint(WH, Huge);
+    std::vector<uint8_t> HugeBytes = WH.take();
+    ByteReader RdHuge(HugeBytes);
+    CampaignOptions B3;
+    EXPECT_FALSE(readOptionsFingerprint(RdHuge, B3)) << "log2 " << Log2;
+  }
 }
 
 TEST(Prescient, BuildCacheSharesOneSummaryPerSubject) {

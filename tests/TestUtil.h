@@ -7,6 +7,7 @@
 #ifndef PATHFUZZ_TESTS_TESTUTIL_H
 #define PATHFUZZ_TESTS_TESTUTIL_H
 
+#include "cov/CoverageMap.h"
 #include "mir/Builder.h"
 #include "mir/Mir.h"
 #include "support/Rng.h"
@@ -82,6 +83,15 @@ inline mir::Function randomFunction(Rng &R, unsigned MaxBlocks = 12) {
     }
   }
   return FB.take();
+}
+
+/// The first nonzero byte of a tracked map that lies in a line its engine
+/// did not mark, or -1 when the line summary covers the whole trace.
+inline int64_t firstUnmarkedByte(const cov::CoverageMap &Map) {
+  for (uint32_t I = 0; I < Map.size(); ++I)
+    if (Map.data()[I] && !Map.lines()[I >> cov::CoverageMap::LineShift])
+      return I;
+  return -1;
 }
 
 /// Wrap a function into a module whose main calls it once.

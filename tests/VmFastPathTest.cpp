@@ -114,16 +114,20 @@ void expectSameResult(const vm::ExecResult &A, const vm::ExecResult &B,
 }
 
 /// Replay the workload through a fresh interpreter Vm and a fresh
-/// fast-path Vm sharing one image; compare every observable per exec.
+/// fast-path Vm sharing one image; compare every observable per exec. The
+/// interpreter writes an untracked map (the reference); the fast path
+/// writes one bound the way the fuzzer binds its own.
 void expectEngineIdentity(const mir::Module &M,
                           const instr::ShadowEdgeIndex *Shadow,
                           const vm::ProgramImage &Image,
                           const std::vector<fuzz::Input> &Inputs,
-                          const uint64_t *FuncKeys, const char *What) {
+                          const uint64_t *FuncKeys, const char *What,
+                          bool CallHash = false) {
   vm::Vm Interp(M, Shadow);
   vm::Vm Fast(M, Shadow);
   Fast.attachImage(&Image);
   cov::CoverageMap MapI(16), MapF(16);
+  const cov::CoverageMap &ViewF = MapF;
   for (size_t K = 0; K < Inputs.size(); ++K) {
     const fuzz::Input &In = Inputs[K];
     vm::ExecOptions EO;
@@ -135,14 +139,21 @@ void expectEngineIdentity(const mir::Module &M,
     FbI.Map = MapI.data();
     FbI.MapMask = MapI.mask();
     FbI.FuncKeys = FuncKeys;
-    FbF.Map = MapF.data();
+    FbI.CallPathHash = CallHash;
+    cov::CoverageMap::ProbeView PV = MapF.probeView();
+    FbF.Map = PV.Map;
+    FbF.MapLines = PV.Lines;
     FbF.MapMask = MapF.mask();
     FbF.FuncKeys = FuncKeys;
+    FbF.CallPathHash = CallHash;
     vm::ExecResult RI = Interp.run(In.data(), In.size(), EO, &FbI);
     vm::ExecResult RF = Fast.run(In.data(), In.size(), EO, &FbF);
     expectSameResult(RI, RF, What);
-    EXPECT_EQ(std::memcmp(MapI.data(), MapF.data(), MapI.size()), 0)
+    EXPECT_EQ(std::memcmp(MapI.data(), ViewF.data(), MapI.size()), 0)
         << What << " input " << K << ": coverage maps diverge";
+    ASSERT_TRUE(ViewF.tracked()) << What;
+    EXPECT_EQ(test::firstUnmarkedByte(ViewF), -1)
+        << What << " input " << K << ": map byte in an unmarked line";
   }
 }
 
@@ -163,6 +174,13 @@ TEST(VmFastPath, ExampleSubjectsIdentity) {
       expectEngineIdentity(IB.Mod, &SB->shadow(), *IB.Image,
                            workload(S, 48, 0x5eedbeef),
                            IB.Report.FuncKeys.data(), What.c_str());
+      if (Mode == instr::Feedback::Path) {
+        What += "/callhash";
+        expectEngineIdentity(IB.Mod, &SB->shadow(), *IB.Image,
+                             workload(S, 48, 0x5eedbeef),
+                             IB.Report.FuncKeys.data(), What.c_str(),
+                             /*CallHash=*/true);
+      }
     }
   }
 }

@@ -118,17 +118,21 @@ void expectSameResult(const vm::ExecResult &A, const vm::ExecResult &B,
 
 /// Replay the workload through a fresh interpreter Vm and a fresh JIT Vm
 /// sharing one image + compiled program; compare every observable (result
-/// fields, coverage-map bytes, exec-path signatures) per execution.
+/// fields, coverage-map bytes, exec-path signatures) per execution. The
+/// interpreter writes an untracked map (the reference); the JIT writes one
+/// bound the way the fuzzer binds its own.
 void expectJitIdentity(const mir::Module &M,
                        const instr::ShadowEdgeIndex *Shadow,
                        const vm::ProgramImage &Image,
                        const vm::jit::JitProgram &J,
                        const std::vector<fuzz::Input> &Inputs,
-                       const uint64_t *FuncKeys, const char *What) {
+                       const uint64_t *FuncKeys, const char *What,
+                       bool CallHash = false) {
   vm::Vm Interp(M, Shadow);
   vm::Vm Jit(M, Shadow);
   Jit.attachJit(&J);
   cov::CoverageMap MapI(16), MapJ(16);
+  const cov::CoverageMap &ViewJ = MapJ;
   for (size_t K = 0; K < Inputs.size(); ++K) {
     const fuzz::Input &In = Inputs[K];
     vm::ExecOptions EO;
@@ -142,16 +146,23 @@ void expectJitIdentity(const mir::Module &M,
     FbI.MapMask = MapI.mask();
     FbI.FuncKeys = FuncKeys;
     FbI.PathSig = &SigI;
-    FbJ.Map = MapJ.data();
+    FbI.CallPathHash = CallHash;
+    cov::CoverageMap::ProbeView PV = MapJ.probeView();
+    FbJ.Map = PV.Map;
+    FbJ.MapLines = PV.Lines;
     FbJ.MapMask = MapJ.mask();
     FbJ.FuncKeys = FuncKeys;
     FbJ.PathSig = &SigJ;
+    FbJ.CallPathHash = CallHash;
     vm::ExecResult RI = Interp.run(In.data(), In.size(), EO, &FbI);
     vm::ExecResult RJ = Jit.run(In.data(), In.size(), EO, &FbJ);
     expectSameResult(RI, RJ, What);
     EXPECT_EQ(SigI, SigJ) << What << " input " << K << ": path signatures";
-    EXPECT_EQ(std::memcmp(MapI.data(), MapJ.data(), MapI.size()), 0)
+    EXPECT_EQ(std::memcmp(MapI.data(), ViewJ.data(), MapI.size()), 0)
         << What << " input " << K << ": coverage maps diverge";
+    ASSERT_TRUE(ViewJ.tracked()) << What;
+    EXPECT_EQ(test::firstUnmarkedByte(ViewJ), -1)
+        << What << " input " << K << ": map byte in an unmarked line";
   }
   EXPECT_EQ(Jit.jitRunStats().Execs, Inputs.size()) << What;
 }
@@ -178,6 +189,14 @@ TEST(VmJit, ExampleSubjectsIdentity) {
       expectJitIdentity(IB.Mod, &SB->shadow(), *IB.Image, *IB.Jit,
                         workload(S, 48, 0x5eedbeef),
                         IB.Report.FuncKeys.data(), What.c_str());
+      if (Mode == instr::Feedback::Path) {
+        // pfJitCallHash bumps (and marks) the map out of line.
+        What += "/callhash";
+        expectJitIdentity(IB.Mod, &SB->shadow(), *IB.Image, *IB.Jit,
+                          workload(S, 48, 0x5eedbeef),
+                          IB.Report.FuncKeys.data(), What.c_str(),
+                          /*CallHash=*/true);
+      }
     }
   }
 }
