@@ -32,15 +32,79 @@
 #include "strategy/Evaluation.h"
 #include "support/Env.h"
 #include "support/Hashing.h"
+#include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 #include "targets/Targets.h"
 #include "telemetry/Export.h"
 
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace pathfuzz {
 namespace bench {
+
+/// Monotonic wall clock in microseconds, for the timing harnesses' legs.
+inline uint64_t nowMicros() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// The example subjects under examples/minilang/. PATHFUZZ_EXAMPLES_DIR
+/// overrides the baked-in source location (for out-of-tree runs); a
+/// harness bakes it in by defining PATHFUZZ_SOURCE_DIR.
+inline std::vector<strategy::Subject> loadExampleSubjects() {
+#ifdef PATHFUZZ_SOURCE_DIR
+  const char *Default = PATHFUZZ_SOURCE_DIR "/examples/minilang";
+#else
+  const char *Default = "examples/minilang";
+#endif
+  std::string Dir = envStr("PATHFUZZ_EXAMPLES_DIR", Default);
+  std::vector<strategy::Subject> Out;
+  for (const char *Name : {"sum", "lookup", "checksum", "tokens", "rle"}) {
+    std::ifstream F(Dir + "/" + Name + ".ml");
+    if (!F)
+      continue;
+    std::ostringstream SS;
+    SS << F.rdbuf();
+    strategy::Subject S;
+    S.Name = Name;
+    S.Source = SS.str();
+    if (std::strcmp(Name, "lookup") == 0) {
+      S.Seeds.push_back({'a', 'b', 'c'});
+    } else {
+      // The loop subjects scale with input length; a 1 KiB seed keeps
+      // the measurement in the executor rather than in per-exec setup.
+      fuzz::Input In(1024);
+      Rng R(7);
+      for (uint8_t &B : In)
+        B = static_cast<uint8_t>(R.below(256));
+      S.Seeds.push_back(std::move(In));
+    }
+    Out.push_back(std::move(S));
+  }
+  return Out;
+}
+
+/// Write a harness's JSON record to OutPath (each harness passes
+/// envStr("PATHFUZZ_BENCH_OUT", "BENCH_<name>.json")) and return the exit
+/// code: 0 when its checks held. A failed export only warns — the record
+/// is a by-product, the checks are the verdict.
+inline int writeBenchRecord(const std::string &OutPath,
+                            const std::string &Doc, bool ChecksHeld) {
+  std::string Err;
+  if (!telemetry::exportFile(OutPath, Doc, &Err))
+    std::fprintf(stderr, "warning: bench record export failed: %s\n",
+                 Err.c_str());
+  else
+    std::printf("\nwrote %s\n", OutPath.c_str());
+  return ChecksHeld ? 0 : 1;
+}
 
 struct BenchConfig {
   uint32_t Runs;

@@ -32,7 +32,6 @@
 #include "telemetry/Export.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 
 using namespace pathfuzz;
@@ -40,13 +39,6 @@ using namespace pathfuzz::bench;
 using namespace pathfuzz::strategy;
 
 namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct SubjectMeasurement {
   std::string Name;
@@ -203,13 +195,6 @@ int main() {
     Doc += Buf;
   }
 
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_prescient.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Deterministic ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Deterministic ? 0 : 1;
+  return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_prescient.json"),
+                          Doc, Deterministic);
 }

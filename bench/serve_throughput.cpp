@@ -30,7 +30,6 @@
 #include "serve/Server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <filesystem>
 #include <thread>
@@ -47,13 +46,6 @@ using strategy::Subject;
 namespace fs = std::filesystem;
 
 namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 uint64_t counterOf(const telemetry::MetricsRegistry &Snap, const char *Name) {
   auto It = Snap.counters().find(Name);
@@ -353,13 +345,6 @@ int main() {
       ZeroLostWork ? "true" : "false", PreemptN, PlainMicros, UnslicedMicros,
       SlicedMicros, Pct(SlicedMicros, UnslicedMicros));
 
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_serve.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return ZeroLostWork ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return ZeroLostWork ? 0 : 1;
+  return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_serve.json"),
+                          Doc, ZeroLostWork);
 }

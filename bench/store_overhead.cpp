@@ -24,7 +24,6 @@
 #include "telemetry/Report.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <filesystem>
 
@@ -36,13 +35,6 @@ using namespace pathfuzz::strategy;
 namespace fs = std::filesystem;
 
 namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 } // namespace
 
@@ -244,13 +236,6 @@ int main() {
 
   fs::remove_all(Root, Ec);
 
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_store.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Identical ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Identical ? 0 : 1;
+  return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_store.json"),
+                          Doc, Identical);
 }

@@ -22,7 +22,6 @@
 #include "telemetry/Report.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 
 using namespace pathfuzz;
@@ -30,13 +29,6 @@ using namespace pathfuzz::bench;
 using namespace pathfuzz::strategy;
 
 namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// ns/op of PF_TRACE_EVENT through a pointer the optimizer cannot
 /// constant-fold. Tr == nullptr measures the disabled (untraced) branch.
@@ -170,13 +162,6 @@ int main() {
   if (Pos != std::string::npos)
     Doc.insert(Pos, Extra);
 
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_telemetry.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Identical ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Identical ? 0 : 1;
+  return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_telemetry.json"),
+                          Doc, Identical);
 }

@@ -39,24 +39,14 @@
 #include "vm/jit/Jit.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace pathfuzz;
 using namespace pathfuzz::bench;
 using namespace pathfuzz::strategy;
 
 namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One row of the engine matrix. Engine 0 is always the reference
 /// interpreter; speedups are relative to it.
@@ -77,41 +67,6 @@ std::vector<EngineSpec> engineMatrix() {
   if (vm::jit::available())
     E.push_back({"jit", vm::VmExecMode::Jit, true, true});
   return E;
-}
-
-/// The example subjects under examples/minilang/. PATHFUZZ_EXAMPLES_DIR
-/// overrides the baked-in source location (for out-of-tree runs).
-std::vector<Subject> loadExampleSubjects() {
-#ifdef PATHFUZZ_SOURCE_DIR
-  const char *Default = PATHFUZZ_SOURCE_DIR "/examples/minilang";
-#else
-  const char *Default = "examples/minilang";
-#endif
-  std::string Dir = envStr("PATHFUZZ_EXAMPLES_DIR", Default);
-  std::vector<Subject> Out;
-  for (const char *Name : {"sum", "lookup", "checksum", "tokens", "rle"}) {
-    std::ifstream F(Dir + "/" + Name + ".ml");
-    if (!F)
-      continue;
-    std::ostringstream SS;
-    SS << F.rdbuf();
-    Subject S;
-    S.Name = Name;
-    S.Source = SS.str();
-    if (std::strcmp(Name, "lookup") == 0) {
-      S.Seeds.push_back({'a', 'b', 'c'});
-    } else {
-      // The loop subjects scale with input length; a 1 KiB seed keeps
-      // the measurement in the executor rather than in per-exec setup.
-      fuzz::Input In(1024);
-      Rng R(7);
-      for (uint8_t &B : In)
-        B = static_cast<uint8_t>(R.below(256));
-      S.Seeds.push_back(std::move(In));
-    }
-    Out.push_back(std::move(S));
-  }
-  return Out;
 }
 
 /// The raw-executor workload: the subject's seeds plus mutated copies
@@ -523,13 +478,6 @@ int main() {
   if (Pos != std::string::npos)
     Doc.insert(Pos, Extra);
 
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_vm.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Identical ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Identical ? 0 : 1;
+  return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_vm.json"),
+                          Doc, Identical);
 }

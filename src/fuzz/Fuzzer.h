@@ -242,10 +242,13 @@ public:
   std::vector<uint8_t> snapshot() const;
 
   /// Restore state captured by snapshot() on a compatibly-configured
-  /// fuzzer (same map size, same module/shadow index). Returns false —
-  /// without touching any state — on envelope corruption, version
-  /// mismatch or structural mismatch. A restored fuzzer continues run()
-  /// byte-identically to the instance that was snapshotted.
+  /// fuzzer (same map size, same module/shadow index). Returns false
+  /// without touching any state on envelope corruption, version mismatch
+  /// or structural mismatch. A payload that fails a later check (truncated
+  /// fields, out-of-range queue state) also returns false, but only after
+  /// state was partly overwritten: discard such a fuzzer. A restored
+  /// fuzzer continues run() byte-identically to the instance that was
+  /// snapshotted.
   bool restore(const std::vector<uint8_t> &Blob);
 
   /// Execute one input under this fuzzer's feedback without corpus or

@@ -231,8 +231,9 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
   ByteReader Rd(Payload);
 
   // Structural fingerprint first: nothing is mutated on mismatch. Past
-  // this point the checksummed payload is trusted (a failed read below
-  // still returns false, but the fuzzer must then be discarded).
+  // this point state is overwritten as it is read, so a false return from
+  // a later check leaves the fuzzer half-restored and it must be
+  // discarded (the campaign drivers do).
   if (Rd.u32() != Trace.size() ||
       Rd.u32() != static_cast<uint32_t>(EdgeCovered.size()) || !Rd.ok())
     return false;
@@ -317,6 +318,21 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
   bool NeedCull = Rd.u8() != 0;
   uint32_t PendingFavored = Rd.u32();
   uint64_t CullPasses = Rd.u64();
+
+  // Range checks. The envelope checksum guards against damage, not forgery,
+  // and the corpus, the cull and the scheduler index by these values
+  // unchecked: every TopRated slot names an entry or -1, every MapSet is
+  // strictly ascending and inside the map, and the cycle ends within the
+  // queue.
+  for (int32_t T : TopRated)
+    if (T < -1 || T >= static_cast<int64_t>(Entries.size()))
+      return false;
+  for (const QueueEntry &E : Entries)
+    for (size_t I = 0; I < E.MapSet.size(); ++I)
+      if (E.MapSet[I] >= NTop || (I && E.MapSet[I] <= E.MapSet[I - 1]))
+        return false;
+  if (Sched.CycleEnd > Entries.size())
+    return false;
 
   // Telemetry section. When this fuzzer is untraced the section is still
   // parsed (into a scratch recorder) so the trailing done() check keeps

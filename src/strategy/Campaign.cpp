@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <utility>
 
 namespace pathfuzz {
 namespace strategy {
@@ -58,8 +60,8 @@ using fuzz::ByteReader;
 using fuzz::ByteWriter;
 
 fuzz::FuzzerOptions fuzzerOptions(const InstrumentedBuild &B,
-                                  const CampaignOptions &Opts, uint64_t Seed,
-                                  bool PathAflAssist) {
+                                  const CampaignOptions &Opts, uint64_t Seed) {
+  const bool PathAflAssist = Opts.Kind == FuzzerKind::PathAfl;
   fuzz::FuzzerOptions FO;
   FO.MapSizeLog2 = Opts.MapSizeLog2;
   FO.Seed = Seed;
@@ -130,9 +132,11 @@ void campaignEvent(telemetry::CampaignTrace *CT, telemetry::EventKind K,
   CT->CampaignEvents.push_back(E);
 }
 
-/// Fold one fuzzer instance's findings into the campaign aggregate.
+/// Fold one fuzzer instance's findings into the campaign aggregate; the
+/// final queue size is the last instance's.
 void accumulate(CampaignResult &R, const fuzz::Fuzzer &F,
                 uint64_t ExecOffset) {
+  R.FinalQueueSize = F.corpus().size();
   R.Execs += F.stats().Execs;
   R.TotalCrashes += F.stats().Crashes;
   R.TotalHangs += F.stats().Hangs;
@@ -162,32 +166,6 @@ void accumulate(CampaignResult &R, const fuzz::Fuzzer &F,
 // Error plumbing
 //===----------------------------------------------------------------------===//
 
-void setError(CampaignError *Err, std::string Message, std::string FaultSite,
-              bool Transient, bool Watchdog = false) {
-  if (!Err)
-    return;
-  Err->Failed = true;
-  Err->Transient = Transient;
-  Err->Watchdog = Watchdog;
-  Err->Preempted = false;
-  Err->FaultSite = std::move(FaultSite);
-  Err->Message = std::move(Message);
-}
-
-/// A StopRequest preemption: Failed so callers that only check Failed
-/// never mistake the partial result for a complete one, but flagged so
-/// the store/scheduler layers can propagate it as progress, not damage.
-void setPreempted(CampaignError *Err) {
-  if (!Err)
-    return;
-  Err->Failed = true;
-  Err->Transient = false;
-  Err->Watchdog = false;
-  Err->Preempted = true;
-  Err->FaultSite.clear();
-  Err->Message = "campaign preempted at safe-point checkpoint";
-}
-
 /// tryInstrumented with the diagnostic routed into CampaignError.
 const InstrumentedBuild *instrumentOrError(SubjectBuild &SB,
                                            instr::Feedback Mode,
@@ -196,8 +174,8 @@ const InstrumentedBuild *instrumentOrError(SubjectBuild &SB,
   std::string Diag;
   const InstrumentedBuild *B = SB.tryInstrumented(Mode, Opts, &Diag);
   if (!B)
-    setError(Err, Diag, "strategy.instrument",
-             fault::isTransient("strategy.instrument"));
+    setCampaignError(Err, Diag, "strategy.instrument",
+                     fault::isTransient("strategy.instrument"));
   return B;
 }
 
@@ -270,12 +248,16 @@ CampaignResult readCampaignResult(ByteReader &Rd) {
 //
 // A campaign checkpoint is sealSnapshot() over:
 //
-//   u8 driver tag (0 plain / 1 cull / 2 opp)   u8 FuzzerKind
-//   options fingerprint (every option the schedule depends on)
-//   driver-specific state, ending in a nested Fuzzer::snapshot() blob
+//   options fingerprint (writeOptionsFingerprint: driver tag, kind and
+//                        every option the schedule depends on)
+//   driver state        (nothing for plain; cull's round and RNG, opp's
+//                        phase — each driver writes and reads its own)
+//   blob(Fuzzer::snapshot()) of the live instance
 //
-// The fingerprint pins the resume to the exact original configuration;
-// the robustness knobs themselves (checkpoint interval, watchdog) are
+// runInstance writes the frame and resumeCampaign checks the fingerprint,
+// so each driver only reads back what its own callback wrote. The
+// fingerprint pins the resume to the exact original configuration; the
+// robustness knobs themselves (checkpoint interval, watchdog) are
 // deliberately excluded — they never affect results, so a run may be
 // resumed under a different checkpoint cadence.
 
@@ -295,61 +277,62 @@ uint8_t driverTag(FuzzerKind K) {
   }
 }
 
-// The header is the public writeOptionsFingerprint (Campaign.h): the
-// durable store's manifest pins the same fields, so a checkpoint that
-// matches the manifest necessarily matches the resume options.
-
-bool readCheckpointHeader(ByteReader &Rd, const CampaignOptions &Opts) {
-  bool Ok = Rd.u8() == driverTag(Opts.Kind);
-  Ok &= Rd.u8() == static_cast<uint8_t>(Opts.Kind);
-  Ok &= Rd.u64() == Opts.ExecBudget;
-  Ok &= Rd.u64() == Opts.Seed;
-  Ok &= Rd.u32() == Opts.MapSizeLog2;
-  Ok &= Rd.u32() == Opts.CullRounds;
-  Ok &= Rd.u64() == Opts.MaxInputLen;
-  Ok &= Rd.u64() == Opts.StepLimit;
-  Ok &= Rd.u8() == static_cast<uint8_t>(Opts.Placement);
-  Ok &= Rd.u32() == Opts.GrowthSampleInterval;
-  return Ok && Rd.ok();
+/// Read the live instance's snapshot, which ends every checkpoint payload.
+/// Fails with Err set when the driver state read before it was invalid
+/// (!StateOk), or the payload is cut short or carries stray bytes.
+bool readInstanceBlob(ByteReader &Rd, bool StateOk, std::vector<uint8_t> &Blob,
+                      CampaignError *Err) {
+  Blob = Rd.blob();
+  if (StateOk && Rd.done())
+    return true;
+  setCampaignError(Err, "malformed checkpoint payload");
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
-// Drivers
+// The instance lifecycle
 //===----------------------------------------------------------------------===//
 
-/// Parsed driver state for a resume; drivers start mid-stream when given
-/// one of these instead of from scratch.
-struct PlainResume {
-  std::vector<uint8_t> FuzzBlob;
+/// One fuzz::Fuzzer instance of a campaign: a plain campaign's only one, a
+/// cull round, or an opp phase.
+struct Instance {
+  Instance(const InstrumentedBuild *Build, std::string Label, uint64_t Seed,
+           uint64_t Offset, uint64_t Budget)
+      : Build(Build), Label(std::move(Label)), Seed(Seed), Offset(Offset),
+        Budget(Budget) {}
+
+  const InstrumentedBuild *Build;
+  /// Names the instance's record in the campaign trace.
+  std::string Label;
+  uint64_t Seed;
+  /// Campaign-cumulative execs before this instance: paces its checkpoints,
+  /// shrinks its share of the watchdog limit and offsets its trace record.
+  uint64_t Offset;
+  uint64_t Budget;
+  /// Restore this snapshot; when null, start from Dict and Seeds instead
+  /// (a restored instance already absorbed them).
+  const std::vector<uint8_t> *Blob = nullptr;
+  std::vector<fuzz::Input> Seeds;
+  std::vector<int64_t> Dict;
+  /// Writes the driver state between fingerprint and snapshot.
+  std::function<void(ByteWriter &)> State;
 };
 
-struct CullResume {
-  uint32_t Round = 0;
-  uint64_t ExecOffset = 0;
-  CampaignResult Partial;
-  uint64_t RngState[4] = {0, 0, 0, 0};
-  /// Telemetry collected for completed rounds (null when untraced).
-  std::shared_ptr<telemetry::CampaignTrace> Trace;
-  std::vector<uint8_t> FuzzBlob;
-};
-
-struct OppResume {
-  uint8_t Phase = 1;
-  uint64_t Phase1Execs = 0;               // phase 2 only
-  std::vector<uint32_t> Phase1Edges;      // phase 2 only
-  /// Phase-1 telemetry (phase 2 only; null when untraced).
-  std::shared_ptr<telemetry::CampaignTrace> Trace;
-  std::vector<uint8_t> FuzzBlob;
-};
-
-CampaignResult runPlain(SubjectBuild &SB, const CampaignOptions &Opts,
-                        instr::Feedback Mode, bool PathAflAssist,
-                        CampaignError *Err, const PlainResume *Resume) {
-  const InstrumentedBuild *B = instrumentOrError(SB, Mode, Opts, Err);
-  if (!B)
-    return {};
-
-  fuzz::FuzzerOptions FO = fuzzerOptions(*B, Opts, Opts.Seed, PathAflAssist);
+/// Run one instance from start to finish and fold its telemetry into CT.
+/// Returns null, with Err set, when the watchdog trips or the snapshot does
+/// not restore. Otherwise returns the fuzzer, with Err marked preempted
+/// when StopRequest stopped it early.
+std::unique_ptr<fuzz::Fuzzer> runInstance(SubjectBuild &SB,
+                                          const CampaignOptions &Opts,
+                                          const Instance &I,
+                                          telemetry::CampaignTrace *CT,
+                                          CampaignError *Err) {
+  auto Watchdog = [Err] {
+    setCampaignError(Err, "exec watchdog tripped", "", false,
+                     /*Watchdog=*/true);
+    return nullptr;
+  };
+  fuzz::FuzzerOptions FO = fuzzerOptions(*I.Build, Opts, I.Seed);
   // Prescient: install the frontier-score scheduling weight over the
   // subject's cached interprocedural reachability summary (one per
   // subject, shared read-only across trials like the images). The hook is
@@ -367,172 +350,177 @@ CampaignResult runPlain(SubjectBuild &SB, const CampaignOptions &Opts,
     };
   }
   FO.CheckpointInterval = Opts.CheckpointInterval;
-  FO.ExecHardLimit = Opts.WatchdogExecLimit;
+  FO.CheckpointBase = I.Offset;
   FO.StopRequest = Opts.StopRequest;
+  if (Opts.WatchdogExecLimit) {
+    if (I.Offset >= Opts.WatchdogExecLimit)
+      return Watchdog();
+    FO.ExecHardLimit = Opts.WatchdogExecLimit - I.Offset;
+  }
   if (Opts.CheckpointSink && Opts.CheckpointInterval)
-    FO.OnCheckpoint = [&Opts](const fuzz::Fuzzer &F) {
+    FO.OnCheckpoint = [&Opts, State = I.State](const fuzz::Fuzzer &F) {
       ByteWriter W;
       writeOptionsFingerprint(W, Opts);
+      if (State)
+        State(W);
       W.blob(F.snapshot());
       Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
     };
 
-  fuzz::Fuzzer F(B->Mod, B->Report, SB.shadow(), FO);
+  auto F = std::make_unique<fuzz::Fuzzer>(I.Build->Mod, I.Build->Report,
+                                          SB.shadow(), FO);
+  if (I.Blob) {
+    if (!F->restore(*I.Blob)) {
+      setCampaignError(Err, "checkpoint restore failed (incompatible state)");
+      return nullptr;
+    }
+  } else {
+    // Carry the cmp dictionary across instances (AFL++ re-mines cmplog
+    // from the seed queue on restart).
+    F->seedDict(I.Dict);
+    for (const fuzz::Input &Seed : I.Seeds)
+      F->addSeed(Seed);
+  }
+  F->run(I.Budget);
+  if (F->hardLimitHit())
+    return Watchdog();
+  if (CT && F->trace())
+    telemetry::collectInstance(*CT, I.Label, I.Offset, *F->trace());
+  // A StopRequest preemption: Failed so callers that only check Failed
+  // never mistake the partial result for a complete one, but flagged so
+  // the store/scheduler layers can propagate it as progress, not damage.
+  if (F->preempted()) {
+    setCampaignError(Err, "campaign preempted at safe-point checkpoint");
+    if (Err)
+      Err->Preempted = true;
+  }
+  return F;
+}
+
+//===----------------------------------------------------------------------===//
+// Drivers
+//===----------------------------------------------------------------------===//
+//
+// Each driver takes the checkpoint reader positioned after the fingerprint
+// when it resumes (null on a fresh start) and parses its driver state
+// before anything runs. A preempted driver returns its partial findings.
+
+/// pcguard, path, afl, pathafl and prescient: one instance that differs
+/// only in its feedback (and in fuzzerOptions/runInstance's hooks).
+CampaignResult runPlain(SubjectBuild &SB, const CampaignOptions &Opts,
+                        CampaignError *Err, ByteReader *Resume) {
+  // A plain checkpoint has no driver state.
+  std::vector<uint8_t> Blob;
+  if (Resume && !readInstanceBlob(*Resume, true, Blob, Err))
+    return {};
+  instr::Feedback Mode = instr::Feedback::EdgePrecise;
+  if (Opts.Kind == FuzzerKind::Path)
+    Mode = instr::Feedback::Path;
+  else if (Opts.Kind == FuzzerKind::Afl || Opts.Kind == FuzzerKind::PathAfl)
+    Mode = instr::Feedback::EdgeClassic;
+  const InstrumentedBuild *B = instrumentOrError(SB, Mode, Opts, Err);
+  if (!B)
+    return {};
+
   std::shared_ptr<telemetry::CampaignTrace> CT =
       makeCampaignTrace(SB, Opts, nullptr);
   // A single-instance campaign always records its (one) phase start, even
   // on resume: the event's position is fixed at exec 0, so resumed and
   // uninterrupted traces agree.
   campaignEvent(CT.get(), telemetry::EventKind::PhaseStarted, 0);
-  if (Resume) {
-    if (!F.restore(Resume->FuzzBlob)) {
-      setError(Err, "checkpoint restore failed (incompatible state)", "",
-               false);
-      return {};
-    }
-  } else {
-    for (const fuzz::Input &Seed : SB.subject().Seeds)
-      F.addSeed(Seed);
-  }
-  F.run(Opts.ExecBudget);
-  if (F.hardLimitHit()) {
-    setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
+  Instance I(B, "main", Opts.Seed, /*Offset=*/0, Opts.ExecBudget);
+  I.Blob = Resume ? &Blob : nullptr;
+  I.Seeds = SB.subject().Seeds;
+  auto F = runInstance(SB, Opts, I, CT.get(), Err);
+  if (!F)
     return {};
-  }
 
   CampaignResult R;
   R.Kind = Opts.Kind;
-  accumulate(R, F, 0);
-  R.FinalQueueSize = F.corpus().size();
-  if (CT && F.trace())
-    telemetry::collectInstance(*CT, "main", 0, *F.trace());
+  accumulate(R, *F, 0);
   R.Trace = CT;
-  if (F.preempted())
-    setPreempted(Err); // R carries the partial findings so far
   return R;
 }
 
 CampaignResult runCull(SubjectBuild &SB, const CampaignOptions &Opts,
-                       bool RandomCull, CampaignError *Err,
-                       const CullResume *Resume) {
-  const InstrumentedBuild *B =
-      instrumentOrError(SB, instr::Feedback::Path, Opts, Err);
-  if (!B)
-    return {};
-
+                       CampaignError *Err, ByteReader *Resume) {
   CampaignResult R;
   R.Kind = Opts.Kind;
-
   uint32_t Rounds = std::max<uint32_t>(1, Opts.CullRounds);
   uint64_t PerRound = std::max<uint64_t>(1, Opts.ExecBudget / Rounds);
   std::vector<fuzz::Input> RoundSeeds = SB.subject().Seeds;
   std::vector<int64_t> CarriedDict;
   Rng CullRng(Opts.Seed ^ 0xc0ffee);
   uint64_t ExecOffset = 0;
-  uint32_t StartRound = 0;
-  if (Resume) {
-    // Everything a mid-round checkpoint depends on: completed rounds'
-    // aggregate, the cull RNG stream position, and the live instance (in
-    // FuzzBlob). RoundSeeds and the carried dictionary are only consumed
-    // when *starting* an instance, which a resume never does — the
-    // restored instance already absorbed them.
-    R = Resume->Partial;
-    StartRound = Resume->Round;
-    ExecOffset = Resume->ExecOffset;
-    CullRng.loadState(Resume->RngState);
-  }
-  std::shared_ptr<telemetry::CampaignTrace> CT =
-      makeCampaignTrace(SB, Opts, Resume ? Resume->Trace : nullptr);
+  uint32_t Round = 0;
+  std::shared_ptr<telemetry::CampaignTrace> CT;
 
-  for (uint32_t Round = StartRound; Round < Rounds; ++Round) {
+  // Everything a mid-round checkpoint depends on: the round and its exec
+  // offset, completed rounds' aggregate and telemetry, and the cull RNG
+  // stream position. The live round rides in the fuzzer snapshot.
+  auto WriteState = [&](ByteWriter &W) {
+    W.u32(Round);
+    W.u64(ExecOffset);
+    writeCampaignResult(W, R);
+    uint64_t RS[4];
+    CullRng.saveState(RS);
+    for (uint64_t S : RS)
+      W.u64(S);
+    telemetry::writeCampaignTrace(W, CT.get());
+  };
+  std::vector<uint8_t> Blob;
+  if (Resume) {
+    Round = Resume->u32();
+    ExecOffset = Resume->u64();
+    R = readCampaignResult(*Resume);
+    uint64_t RS[4];
+    for (uint64_t &S : RS)
+      S = Resume->u64();
+    CullRng.loadState(RS);
+    CT = telemetry::readCampaignTrace(*Resume);
+    if (!readInstanceBlob(*Resume, Round < Rounds, Blob, Err))
+      return {};
+  }
+  const InstrumentedBuild *B =
+      instrumentOrError(SB, instr::Feedback::Path, Opts, Err);
+  if (!B)
+    return {};
+  CT = makeCampaignTrace(SB, Opts, CT);
+
+  const bool RandomCull = Opts.Kind == FuzzerKind::CullRandom;
+  const std::vector<uint8_t> *Restore = Resume ? &Blob : nullptr;
+  for (; Round < Rounds; ++Round) {
     // The last round gets whatever remains of the overall budget (the
     // paper's driver subtracts accumulated culling costs the same way).
     uint64_t Remaining =
         Opts.ExecBudget > ExecOffset ? Opts.ExecBudget - ExecOffset : 0;
-    uint64_t Budget = (Round + 1 == Rounds) ? Remaining : PerRound;
-
-    fuzz::FuzzerOptions FO =
-        fuzzerOptions(*B, Opts, Opts.Seed + Round * 7919, false);
-    FO.CheckpointInterval = Opts.CheckpointInterval;
-    FO.CheckpointBase = ExecOffset;
-    FO.StopRequest = Opts.StopRequest;
-    if (Opts.WatchdogExecLimit) {
-      if (ExecOffset >= Opts.WatchdogExecLimit) {
-        setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
-        return {};
-      }
-      FO.ExecHardLimit = Opts.WatchdogExecLimit - ExecOffset;
-    }
-    if (Opts.CheckpointSink && Opts.CheckpointInterval)
-      FO.OnCheckpoint = [&Opts, &R, &CullRng, CT, Round,
-                         ExecOffset](const fuzz::Fuzzer &F) {
-        ByteWriter W;
-        writeOptionsFingerprint(W, Opts);
-        W.u32(Round);
-        W.u64(ExecOffset);
-        writeCampaignResult(W, R);
-        uint64_t RS[4];
-        CullRng.saveState(RS);
-        for (uint64_t S : RS)
-          W.u64(S);
-        // Completed rounds' telemetry; the live round's recorder rides
-        // inside the fuzzer snapshot below.
-        telemetry::writeCampaignTrace(W, CT.get());
-        W.blob(F.snapshot());
-        Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
-      };
-
-    fuzz::Fuzzer F(B->Mod, B->Report, SB.shadow(), FO);
-    if (Resume && Round == StartRound) {
-      if (!F.restore(Resume->FuzzBlob)) {
-        setError(Err, "checkpoint restore failed (incompatible state)", "",
-                 false);
-        return {};
-      }
-    } else {
-      // Fresh round start: the carried checkpoint trace (if any) already
-      // holds this event for the resumed round.
+    Instance I(B, "round" + std::to_string(Round), Opts.Seed + Round * 7919,
+               ExecOffset, (Round + 1 == Rounds) ? Remaining : PerRound);
+    I.Blob = std::exchange(Restore, nullptr);
+    I.Seeds = std::move(RoundSeeds);
+    I.Dict = std::move(CarriedDict);
+    I.State = WriteState;
+    // Fresh round start: the carried checkpoint trace (if any) already
+    // holds this event for the resumed round.
+    if (!I.Blob)
       campaignEvent(CT.get(), telemetry::EventKind::PhaseStarted, ExecOffset,
                     Round);
-      // Carry the cmp dictionary across instances (AFL++ re-mines cmplog
-      // from the seed queue on restart).
-      F.seedDict(CarriedDict);
-      for (const fuzz::Input &Seed : RoundSeeds)
-        F.addSeed(Seed);
-    }
-    F.run(Budget);
-    if (F.hardLimitHit()) {
-      setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
+    auto F = runInstance(SB, Opts, I, CT.get(), Err);
+    if (!F)
       return {};
-    }
-    if (F.preempted()) {
-      // Partial aggregate: completed rounds plus the live instance so far.
-      CampaignResult P = R;
-      accumulate(P, F, ExecOffset);
-      P.FinalQueueSize = F.corpus().size();
-      if (CT && F.trace())
-        telemetry::collectInstance(*CT, "round" + std::to_string(Round),
-                                   ExecOffset, *F.trace());
-      P.Trace = CT;
-      setPreempted(Err);
-      return P;
-    }
-    accumulate(R, F, ExecOffset);
-    if (CT && F.trace())
-      telemetry::collectInstance(*CT, "round" + std::to_string(Round),
-                                 ExecOffset, *F.trace());
-    ExecOffset += F.stats().Execs;
-    R.FinalQueueSize = F.corpus().size();
-    CarriedDict = F.cmpDict();
-
-    if (Round + 1 == Rounds)
+    accumulate(R, *F, ExecOffset);
+    // Preempted, R is the partial aggregate: completed rounds plus the
+    // live instance so far.
+    if (F->preempted() || Round + 1 == Rounds)
       break;
+    ExecOffset += F->stats().Execs;
+    CarriedDict = F->cmpDict();
 
     // Cull: reduce the queue for the next round. The retained seeds get
     // re-executed by the next instance's addSeed() calls, so the culling
     // cost is charged against the overall budget, as the paper's driver
     // subtracts culling time from the final round.
-    const fuzz::Corpus &Q = F.corpus();
+    const fuzz::Corpus &Q = F->corpus();
     RoundSeeds.clear();
     if (!RandomCull) {
       for (size_t Index : Q.edgePreservingSubset())
@@ -561,16 +549,40 @@ CampaignResult runCull(SubjectBuild &SB, const CampaignOptions &Opts,
 }
 
 CampaignResult runOpp(SubjectBuild &SB, const CampaignOptions &Opts,
-                      CampaignError *Err, const OppResume *Resume) {
+                      CampaignError *Err, ByteReader *Resume) {
   uint64_t Phase1Budget = Opts.ExecBudget / 2;
+  uint8_t Phase = 1;
   uint64_t Phase1Execs = 0;
   std::vector<uint32_t> Phase1Edges;
+  std::shared_ptr<telemetry::CampaignTrace> CT;
+
+  // The phase; phase 2 adds phase 1's exec count, edges and telemetry.
+  // The live phase's recorder rides in the fuzzer snapshot.
+  auto WriteState = [&](ByteWriter &W) {
+    W.u8(Phase);
+    if (Phase == 2) {
+      W.u64(Phase1Execs);
+      W.vecU32(Phase1Edges);
+      telemetry::writeCampaignTrace(W, CT.get());
+    }
+  };
+  std::vector<uint8_t> Blob;
+  if (Resume) {
+    Phase = Resume->u8();
+    if (Phase == 2) {
+      Phase1Execs = Resume->u64();
+      Phase1Edges = Resume->vecU32();
+      CT = telemetry::readCampaignTrace(*Resume);
+    }
+    if (!readInstanceBlob(*Resume, Phase == 1 || Phase == 2, Blob, Err))
+      return {};
+  }
+  CT = makeCampaignTrace(SB, Opts, CT);
+  const std::vector<uint8_t> *Restore = Resume ? &Blob : nullptr;
+
   std::vector<fuzz::Input> Handoff;
   std::vector<int64_t> HandoffDict;
-  std::shared_ptr<telemetry::CampaignTrace> CT =
-      makeCampaignTrace(SB, Opts, Resume ? Resume->Trace : nullptr);
-
-  if (!Resume || Resume->Phase == 1) {
+  if (Phase == 1) {
     // Phase-1 checkpoints don't carry the campaign trace (nothing is
     // collected yet), so this event is re-recorded on a phase-1 resume —
     // its position is fixed at exec 0 either way.
@@ -581,66 +593,37 @@ CampaignResult runOpp(SubjectBuild &SB, const CampaignOptions &Opts,
         instrumentOrError(SB, instr::Feedback::EdgePrecise, Opts, Err);
     if (!EdgeBuild)
       return {};
-    fuzz::FuzzerOptions FO =
-        fuzzerOptions(*EdgeBuild, Opts, Opts.Seed ^ 0x0bb, false);
-    FO.CheckpointInterval = Opts.CheckpointInterval;
-    FO.ExecHardLimit = Opts.WatchdogExecLimit;
-    FO.StopRequest = Opts.StopRequest;
-    if (Opts.CheckpointSink && Opts.CheckpointInterval)
-      FO.OnCheckpoint = [&Opts](const fuzz::Fuzzer &F) {
-        ByteWriter W;
-        writeOptionsFingerprint(W, Opts);
-        W.u8(1); // phase
-        W.blob(F.snapshot());
-        Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
-      };
-    fuzz::Fuzzer Phase1(EdgeBuild->Mod, EdgeBuild->Report, SB.shadow(), FO);
-    if (Resume) {
-      if (!Phase1.restore(Resume->FuzzBlob)) {
-        setError(Err, "checkpoint restore failed (incompatible state)", "",
-                 false);
-        return {};
-      }
-    } else {
-      for (const fuzz::Input &Seed : SB.subject().Seeds)
-        Phase1.addSeed(Seed);
-    }
-    Phase1.run(Phase1Budget);
-    if (Phase1.hardLimitHit()) {
-      setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
+    Instance I(EdgeBuild, "phase1", Opts.Seed ^ 0x0bb, /*Offset=*/0,
+               Phase1Budget);
+    I.Blob = std::exchange(Restore, nullptr);
+    I.Seeds = SB.subject().Seeds;
+    I.State = WriteState;
+    auto Phase1 = runInstance(SB, Opts, I, CT.get(), Err);
+    if (!Phase1)
       return {};
-    }
-    if (Phase1.preempted()) {
+    if (Phase1->preempted()) {
       // Informational partial: phase-1 findings (the final opp result
       // deliberately counts only phase 2's — a resume reconverges to it).
       CampaignResult P;
       P.Kind = Opts.Kind;
-      accumulate(P, Phase1, 0);
-      P.FinalQueueSize = Phase1.corpus().size();
-      if (CT && Phase1.trace())
-        telemetry::collectInstance(*CT, "phase1", 0, *Phase1.trace());
+      accumulate(P, *Phase1, 0);
       P.Trace = CT;
-      setPreempted(Err);
       return P;
     }
 
     // Queue hand-off: crashing inputs were never queued; trim to an
     // edge-coverage-preserving subset (the paper's pre-processing).
-    const fuzz::Corpus &Q1 = Phase1.corpus();
+    const fuzz::Corpus &Q1 = Phase1->corpus();
     for (size_t Index : Q1.edgePreservingSubset())
       Handoff.push_back(Q1[Index].Data);
     if (Handoff.empty())
       Handoff = SB.subject().Seeds;
-    HandoffDict = Phase1.cmpDict();
-    Phase1Execs = Phase1.stats().Execs;
-    Phase1Edges = Phase1.coveredEdgeList();
-    if (CT && Phase1.trace())
-      telemetry::collectInstance(*CT, "phase1", 0, *Phase1.trace());
+    HandoffDict = Phase1->cmpDict(); // cmplog re-mining on the handoff
+    Phase1Execs = Phase1->stats().Execs;
+    Phase1Edges = Phase1->coveredEdgeList();
     campaignEvent(CT.get(), telemetry::EventKind::SeedCulled, Phase1Execs,
                   static_cast<uint32_t>(Handoff.size()), Q1.size());
-  } else {
-    Phase1Execs = Resume->Phase1Execs;
-    Phase1Edges = Resume->Phase1Edges;
+    Phase = 2;
   }
 
   // Phase 2: path-aware fuzzing on the inherited queue. Only this phase's
@@ -649,59 +632,23 @@ CampaignResult runOpp(SubjectBuild &SB, const CampaignOptions &Opts,
       instrumentOrError(SB, instr::Feedback::Path, Opts, Err);
   if (!PathBuild)
     return {};
-  fuzz::FuzzerOptions FO2 =
-      fuzzerOptions(*PathBuild, Opts, Opts.Seed ^ 0x0bb1e5, false);
-  FO2.CheckpointInterval = Opts.CheckpointInterval;
-  FO2.CheckpointBase = Phase1Execs;
-  FO2.StopRequest = Opts.StopRequest;
-  if (Opts.WatchdogExecLimit) {
-    if (Phase1Execs >= Opts.WatchdogExecLimit) {
-      setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
-      return {};
-    }
-    FO2.ExecHardLimit = Opts.WatchdogExecLimit - Phase1Execs;
-  }
-  if (Opts.CheckpointSink && Opts.CheckpointInterval)
-    FO2.OnCheckpoint = [&Opts, Phase1Execs, &Phase1Edges,
-                        CT](const fuzz::Fuzzer &F) {
-      ByteWriter W;
-      writeOptionsFingerprint(W, Opts);
-      W.u8(2); // phase
-      W.u64(Phase1Execs);
-      W.vecU32(Phase1Edges);
-      // Phase-1 telemetry; the live phase-2 recorder rides inside the
-      // fuzzer snapshot below.
-      telemetry::writeCampaignTrace(W, CT.get());
-      W.blob(F.snapshot());
-      Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
-    };
-  if (!(Resume && Resume->Phase == 2))
+  Instance I(PathBuild, "phase2", Opts.Seed ^ 0x0bb1e5, Phase1Execs,
+             Opts.ExecBudget - Phase1Budget);
+  I.Blob = Restore;
+  I.Seeds = std::move(Handoff);
+  I.Dict = std::move(HandoffDict);
+  I.State = WriteState;
+  if (!I.Blob)
     campaignEvent(CT.get(), telemetry::EventKind::PhaseStarted, Phase1Execs, 0,
                   0, /*A8=*/2);
-  fuzz::Fuzzer Phase2(PathBuild->Mod, PathBuild->Report, SB.shadow(), FO2);
-  if (Resume && Resume->Phase == 2) {
-    if (!Phase2.restore(Resume->FuzzBlob)) {
-      setError(Err, "checkpoint restore failed (incompatible state)", "",
-               false);
-      return {};
-    }
-  } else {
-    Phase2.seedDict(HandoffDict); // cmplog re-mining on the handoff
-    for (const fuzz::Input &Seed : Handoff)
-      Phase2.addSeed(Seed);
-  }
-  Phase2.run(Opts.ExecBudget - Phase1Budget);
-  if (Phase2.hardLimitHit()) {
-    setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
+  auto Phase2 = runInstance(SB, Opts, I, CT.get(), Err);
+  if (!Phase2)
     return {};
-  }
 
+  // Preempted, R is the partial-through-phase-2 aggregate.
   CampaignResult R;
   R.Kind = Opts.Kind;
-  accumulate(R, Phase2, Phase1Budget);
-  R.FinalQueueSize = Phase2.corpus().size();
-  if (CT && Phase2.trace())
-    telemetry::collectInstance(*CT, "phase2", Phase1Execs, *Phase2.trace());
+  accumulate(R, *Phase2, Phase1Budget);
   R.Trace = CT;
 
   // Edge coverage additionally includes the opportunistic phase-1
@@ -711,41 +658,44 @@ CampaignResult runOpp(SubjectBuild &SB, const CampaignOptions &Opts,
                  Phase1Edges.end(), std::back_inserter(Merged));
   R.EdgeSet = std::move(Merged);
   R.Execs += Phase1Execs;
-  if (Phase2.preempted())
-    setPreempted(Err); // R is the partial-through-phase-2 aggregate
   return R;
 }
 
 CampaignResult dispatch(SubjectBuild &B, const CampaignOptions &Opts,
-                        CampaignError *Err, const PlainResume *RPlain,
-                        const CullResume *RCull, const OppResume *ROpp) {
+                        CampaignError *Err, ByteReader *Resume) {
   if (!B.ok()) {
-    setError(Err, B.error(), B.faultSite(), B.transientError());
+    setCampaignError(Err, B.error(), B.faultSite(), B.transientError());
     return {};
   }
-  switch (Opts.Kind) {
-  case FuzzerKind::Pcguard:
-    return runPlain(B, Opts, instr::Feedback::EdgePrecise, false, Err, RPlain);
-  case FuzzerKind::Path:
-    return runPlain(B, Opts, instr::Feedback::Path, false, Err, RPlain);
-  case FuzzerKind::Cull:
-    return runCull(B, Opts, /*RandomCull=*/false, Err, RCull);
-  case FuzzerKind::CullRandom:
-    return runCull(B, Opts, /*RandomCull=*/true, Err, RCull);
-  case FuzzerKind::Opp:
-    return runOpp(B, Opts, Err, ROpp);
-  case FuzzerKind::Afl:
-    return runPlain(B, Opts, instr::Feedback::EdgeClassic, false, Err, RPlain);
-  case FuzzerKind::PathAfl:
-    return runPlain(B, Opts, instr::Feedback::EdgeClassic, true, Err, RPlain);
-  case FuzzerKind::Prescient:
-    // Pcguard feedback; runPlain installs the frontier scheduling weight.
-    return runPlain(B, Opts, instr::Feedback::EdgePrecise, false, Err, RPlain);
+  switch (driverTag(Opts.Kind)) {
+  case TagCull:
+    return runCull(B, Opts, Err, Resume);
+  case TagOpp:
+    return runOpp(B, Opts, Err, Resume);
+  default:
+    return runPlain(B, Opts, Err, Resume);
   }
-  return {};
 }
 
 } // namespace
+
+std::vector<uint8_t> fingerprintBytes(const CampaignOptions &Opts) {
+  ByteWriter W;
+  writeOptionsFingerprint(W, Opts);
+  return W.take();
+}
+
+void setCampaignError(CampaignError *Err, std::string Message,
+                      std::string FaultSite, bool Transient, bool Watchdog) {
+  if (!Err)
+    return;
+  Err->Failed = true;
+  Err->Transient = Transient;
+  Err->Watchdog = Watchdog;
+  Err->Preempted = false;
+  Err->FaultSite = std::move(FaultSite);
+  Err->Message = std::move(Message);
+}
 
 std::vector<uint8_t> serializeCampaignResult(const CampaignResult &R) {
   ByteWriter W;
@@ -811,65 +761,31 @@ CampaignResult runCampaign(SubjectBuild &B, const CampaignOptions &Opts,
   // here with StoreDir cleared once recovery is resolved.
   if (!Opts.StoreDir.empty())
     return runStoredCampaign(B, Opts, Err);
-  return dispatch(B, Opts, Err, nullptr, nullptr, nullptr);
+  return dispatch(B, Opts, Err, nullptr);
 }
 
 CampaignResult resumeCampaign(SubjectBuild &B, const CampaignOptions &Opts,
                               const std::vector<uint8_t> &Checkpoint,
                               CampaignError *Err) {
-  auto Fail = [&](const char *Msg) {
-    setError(Err, Msg, "", false);
-    return CampaignResult{};
-  };
   if (!B.ok()) {
-    setError(Err, B.error(), B.faultSite(), B.transientError());
+    setCampaignError(Err, B.error(), B.faultSite(), B.transientError());
     return {};
   }
   std::vector<uint8_t> Payload;
-  if (!fuzz::openSnapshot(Checkpoint, Payload))
-    return Fail("corrupt or truncated checkpoint");
+  if (!fuzz::openSnapshot(Checkpoint, Payload)) {
+    setCampaignError(Err, "corrupt or truncated checkpoint");
+    return {};
+  }
+  // The fingerprint is the public writeOptionsFingerprint (Campaign.h):
+  // the durable store's manifest pins the same bytes, so a checkpoint
+  // that matches the manifest necessarily matches the resume options.
+  const std::vector<uint8_t> Fingerprint = fingerprintBytes(Opts);
   ByteReader Rd(Payload);
-  if (!readCheckpointHeader(Rd, Opts))
-    return Fail("checkpoint does not match campaign options");
-
-  switch (driverTag(Opts.Kind)) {
-  case TagPlain: {
-    PlainResume PR;
-    PR.FuzzBlob = Rd.blob();
-    if (!Rd.done())
-      return Fail("malformed checkpoint payload");
-    return dispatch(B, Opts, Err, &PR, nullptr, nullptr);
+  if (Rd.raw(Fingerprint.size()) != Fingerprint) {
+    setCampaignError(Err, "checkpoint does not match campaign options");
+    return {};
   }
-  case TagCull: {
-    CullResume CR;
-    CR.Round = Rd.u32();
-    CR.ExecOffset = Rd.u64();
-    CR.Partial = readCampaignResult(Rd);
-    for (uint64_t &S : CR.RngState)
-      S = Rd.u64();
-    CR.Trace = telemetry::readCampaignTrace(Rd);
-    CR.FuzzBlob = Rd.blob();
-    if (!Rd.done() || CR.Round >= std::max<uint32_t>(1, Opts.CullRounds))
-      return Fail("malformed checkpoint payload");
-    return dispatch(B, Opts, Err, nullptr, &CR, nullptr);
-  }
-  case TagOpp: {
-    OppResume OR;
-    OR.Phase = Rd.u8();
-    if (OR.Phase == 2) {
-      OR.Phase1Execs = Rd.u64();
-      OR.Phase1Edges = Rd.vecU32();
-      OR.Trace = telemetry::readCampaignTrace(Rd);
-    } else if (OR.Phase != 1) {
-      return Fail("malformed checkpoint payload");
-    }
-    OR.FuzzBlob = Rd.blob();
-    if (!Rd.done())
-      return Fail("malformed checkpoint payload");
-    return dispatch(B, Opts, Err, nullptr, nullptr, &OR);
-  }
-  }
-  return Fail("malformed checkpoint payload");
+  return dispatch(B, Opts, Err, &Rd);
 }
 
 CampaignResult resumeCampaign(const Subject &S, const CampaignOptions &Opts,

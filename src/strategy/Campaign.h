@@ -280,6 +280,17 @@ void writeOptionsFingerprint(ByteWriter &W, const CampaignOptions &Opts);
 /// options from a store manifest.
 bool readOptionsFingerprint(ByteReader &Rd, CampaignOptions &Opts);
 
+/// writeOptionsFingerprint's bytes on their own: every checkpoint payload
+/// starts with them, and the store compares manifests by them.
+std::vector<uint8_t> fingerprintBytes(const CampaignOptions &Opts);
+
+/// Mark *Err (when non-null) as a failed campaign with this diagnostic,
+/// clearing any earlier preemption. The one setter the drivers and the
+/// store report failures through.
+void setCampaignError(CampaignError *Err, std::string Message,
+                      std::string FaultSite = "", bool Transient = false,
+                      bool Watchdog = false);
+
 } // namespace strategy
 } // namespace pathfuzz
 

@@ -121,23 +121,6 @@ bool readManifest(const fs::path &Path, ManifestData &M, std::string &Err) {
   return true;
 }
 
-/// Serialized fingerprint bytes — the manifest-vs-request comparison key.
-std::vector<uint8_t> fingerprintBytes(const CampaignOptions &Opts) {
-  ByteWriter W;
-  writeOptionsFingerprint(W, Opts);
-  return W.take();
-}
-
-void setStoreError(CampaignError *Err, std::string Msg) {
-  if (!Err)
-    return;
-  Err->Failed = true;
-  Err->Transient = false;
-  Err->Watchdog = false;
-  Err->FaultSite.clear();
-  Err->Message = std::move(Msg);
-}
-
 } // namespace
 
 const char *storeStateName(StoreState S) {
@@ -349,14 +332,15 @@ std::vector<StoreScanEntry> scanStoreRoot(const std::string &Root) {
 CampaignResult runStoredCampaign(SubjectBuild &B, const CampaignOptions &Opts,
                                  CampaignError *Err) {
   if (Opts.StoreDir.empty()) {
-    setStoreError(Err, "runStoredCampaign requires CampaignOptions::StoreDir");
+    setCampaignError(Err,
+                     "runStoredCampaign requires CampaignOptions::StoreDir");
     return {};
   }
   std::string OpenErr;
   std::unique_ptr<CampaignStore> Store =
       CampaignStore::open(Opts.StoreDir, B.subject().Name, Opts, &OpenErr);
   if (!Store) {
-    setStoreError(Err, std::move(OpenErr));
+    setCampaignError(Err, std::move(OpenErr));
     return {};
   }
   // Finished in an earlier life: the manifest carries the byte-identical

@@ -122,9 +122,10 @@ TEST_P(CheckpointResume, ResumeFromEveryCheckpointIsByteIdentical) {
   ASSERT_GE(Checkpoints.size(), 3u) << "budget 6000 / interval 900";
 
   // "Kill" the campaign at each checkpoint in turn and resume: every
-  // resume must reproduce the uninterrupted result exactly. The resume
-  // runs without a sink — the checkpoint cadence is not part of the
-  // fingerprint.
+  // resume must reproduce the uninterrupted result exactly. The first
+  // resume runs without a sink — the checkpoint cadence is not part of
+  // the fingerprint. The second keeps the sink and must re-emit the
+  // checkpoints that followed, byte for byte.
   for (size_t I = 0; I < Checkpoints.size(); ++I) {
     SCOPED_TRACE("checkpoint " + std::to_string(I));
     CampaignError ResumeErr;
@@ -132,15 +133,32 @@ TEST_P(CheckpointResume, ResumeFromEveryCheckpointIsByteIdentical) {
                                             &ResumeErr);
     ASSERT_FALSE(ResumeErr.Failed) << ResumeErr.Message;
     EXPECT_EQ(serializeCampaignResult(Resumed), Ref);
+
+    CampaignOptions Resink = WithCkpt;
+    std::vector<std::vector<uint8_t>> Reemitted;
+    Resink.CheckpointSink = [&Reemitted](const std::vector<uint8_t> &Blob) {
+      Reemitted.push_back(Blob);
+    };
+    CampaignError ResinkErr;
+    Resumed = resumeCampaign(S, Resink, Checkpoints[I], &ResinkErr);
+    ASSERT_FALSE(ResinkErr.Failed) << ResinkErr.Message;
+    EXPECT_EQ(serializeCampaignResult(Resumed), Ref);
+    EXPECT_TRUE(Reemitted == std::vector<std::vector<uint8_t>>(
+                                 Checkpoints.begin() + I + 1,
+                                 Checkpoints.end()))
+        << Reemitted.size() << " re-emitted, "
+        << Checkpoints.size() - I - 1 << " expected";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Drivers, CheckpointResume,
                          ::testing::Values(FuzzerKind::Pcguard,
+                                           FuzzerKind::Path,
                                            FuzzerKind::Cull,
                                            FuzzerKind::CullRandom,
                                            FuzzerKind::Opp,
-                                           FuzzerKind::PathAfl),
+                                           FuzzerKind::PathAfl,
+                                           FuzzerKind::Prescient),
                          [](const auto &Info) {
                            return std::string(fuzzerKindName(Info.param));
                          });

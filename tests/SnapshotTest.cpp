@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace pathfuzz;
 using namespace pathfuzz::fuzz;
 
@@ -278,6 +280,91 @@ TEST(Snapshot, RestoreRejectsMismatchedConfiguration) {
   // Garbage blob and an empty blob.
   EXPECT_FALSE(B.restore({1, 2, 3}));
   EXPECT_FALSE(B.restore({}));
+}
+
+/// Overwrite Payload[At..] with V's little-endian bytes.
+template <typename T>
+void patch(std::vector<uint8_t> &Payload, size_t At, T V) {
+  ByteWriter W;
+  if constexpr (sizeof(T) == 4)
+    W.u32(static_cast<uint32_t>(V));
+  else
+    W.u64(static_cast<uint64_t>(V));
+  std::vector<uint8_t> Bytes = W.take();
+  ASSERT_LE(At + Bytes.size(), Payload.size());
+  std::copy(Bytes.begin(), Bytes.end(), Payload.begin() + At);
+}
+
+TEST(Snapshot, RestoreRejectsOutOfRangeQueueState) {
+  // The envelope checksum only catches damage: a resealed payload passes
+  // it whatever it holds. Each case patches one queue field of an untraced
+  // snapshot out of range, reseals it, and restore must reject it.
+  Harness H(BuggyLoop, instr::Feedback::Path);
+  FuzzerOptions FO;
+  FO.Seed = 3;
+  Fuzzer A(H.Mod, H.Report, H.Shadow, FO);
+  A.addSeed({'B', 'B', 'U', 'x'});
+  A.run(3000);
+  const size_t Entries = A.corpus().size();
+  ASSERT_GE(Entries, 2u);
+  std::vector<uint8_t> Good;
+  ASSERT_TRUE(openSnapshot(A.snapshot(), Good));
+  auto Restores = [&H, &FO](const std::vector<uint8_t> &Payload) {
+    Fuzzer B(H.Mod, H.Report, H.Shadow, FO);
+    return B.restore(sealSnapshot(Payload));
+  };
+  ASSERT_TRUE(Restores(Good));
+
+  // Schedule cursor: CycleEnd follows the two structural u32s, four RNG
+  // words and CurIdx.
+  const size_t CycleEndAt = 4 + 4 + 4 * 8 + 8;
+  {
+    std::vector<uint8_t> P = Good;
+    patch<uint64_t>(P, CycleEndAt, Entries);
+    EXPECT_TRUE(Restores(P)) << "a cycle may span the whole queue";
+    patch<uint64_t>(P, CycleEndAt, Entries + 1);
+    EXPECT_FALSE(Restores(P)) << "CycleEnd past the queue";
+  }
+
+  // TopRated: the map-sized u32 table just before the untraced tail (u8
+  // cull flag, u32 pending favored, u64 cull passes, u8 no-telemetry).
+  const size_t MapSize = size_t(1) << FO.MapSizeLog2;
+  const size_t TopRatedAt = Good.size() - (1 + 4 + 8 + 1) - 4 * MapSize;
+  {
+    ByteReader Rd(Good);
+    ASSERT_TRUE(Rd.raw(TopRatedAt).size() == TopRatedAt);
+    EXPECT_EQ(static_cast<int32_t>(Rd.u32()), A.corpus().topRatedTable()[0]);
+  }
+  for (int64_t Bad : {int64_t(Entries), int64_t(1000000), int64_t(-2)}) {
+    std::vector<uint8_t> P = Good;
+    patch<uint32_t>(P, TopRatedAt, static_cast<uint32_t>(Bad));
+    EXPECT_FALSE(Restores(P)) << "TopRated[0] = " << Bad;
+  }
+
+  // MapSet: find the widest entry's serialized MapSet + EdgeSet.
+  const QueueEntry *Widest = &A.corpus()[0];
+  for (size_t I = 1; I < Entries; ++I)
+    if (A.corpus()[I].MapSet.size() > Widest->MapSet.size())
+      Widest = &A.corpus()[I];
+  ASSERT_GE(Widest->MapSet.size(), 2u);
+  ByteWriter Needle;
+  Needle.vecU32(Widest->MapSet);
+  Needle.vecU32(Widest->EdgeSet);
+  std::vector<uint8_t> N = Needle.take();
+  auto It = std::search(Good.begin(), Good.end(), N.begin(), N.end());
+  ASSERT_NE(It, Good.end());
+  const size_t MapSetAt = static_cast<size_t>(It - Good.begin()) + 8;
+  {
+    std::vector<uint8_t> P = Good;
+    patch<uint32_t>(P, MapSetAt + 4 * (Widest->MapSet.size() - 1),
+                    static_cast<uint32_t>(MapSize));
+    EXPECT_FALSE(Restores(P)) << "MapSet index at the map size";
+  }
+  {
+    std::vector<uint8_t> P = Good;
+    patch<uint32_t>(P, MapSetAt + 4, Widest->MapSet[0]);
+    EXPECT_FALSE(Restores(P)) << "MapSet not strictly ascending";
+  }
 }
 
 } // namespace
