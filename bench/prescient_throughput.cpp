@@ -93,9 +93,7 @@ void timeSubject(SubjectMeasurement &M, SubjectBuild &SB,
     if (UPc)
       PairOverhead.push_back(double(UPre) / double(UPc));
   }
-  std::sort(PairOverhead.begin(), PairOverhead.end());
-  M.OverheadMedian =
-      PairOverhead.empty() ? 0.0 : PairOverhead[PairOverhead.size() / 2];
+  M.OverheadMedian = median(PairOverhead);
   if (PcMin)
     M.PcguardEps = double(Execs) * 1e6 / double(PcMin);
   if (PreMin)
@@ -141,9 +139,7 @@ int main() {
   std::vector<double> Overheads;
   for (const SubjectMeasurement &M : Subjects)
     Overheads.push_back(M.OverheadMedian);
-  std::sort(Overheads.begin(), Overheads.end());
-  const double OverheadMedian =
-      Overheads.empty() ? 0.0 : Overheads[Overheads.size() / 2];
+  const double OverheadMedian = median(Overheads);
 
   std::printf("pcguard vs prescient (%" PRIu64 " execs, %u paired reps "
               "each):\n",

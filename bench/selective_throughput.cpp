@@ -6,14 +6,16 @@
 // signature-gated replay; see docs/PERFORMANCE.md's cost-model section)
 // buys over always-instrumented campaigns:
 //
-//  - end-to-end campaigns on every example subject
-//    (examples/minilang/*.ml), alternating paired selective-on /
+//  - end-to-end path campaigns under the default engine on every example
+//    subject (examples/minilang/*.ml) and on the paper subjects
+//    (REPRO_SUBJECTS, default all 18), alternating paired selective-on /
 //    selective-off legs on a shared build, best-of-N execs/sec and the
 //    median of per-pair speedups per subject;
 //  - the serializeCampaignResult byte-identity check on every pair — the
 //    mode's defining contract;
-//  - the vm.selective.* counters (skips, replays, replay mismatches)
-//    from one traced selective campaign per subject;
+//  - the vm.selective.* counters (skips, replays, replay mismatches) and
+//    the replay rate replays / (skips + replays) from one traced
+//    selective campaign per subject;
 //  - and writes the whole record to BENCH_selective.json
 //    (PATHFUZZ_BENCH_OUT overrides the path).
 //
@@ -48,6 +50,11 @@ struct SubjectMeasurement {
   uint64_t Replays = 0;
   uint64_t ReplayMismatch = 0;
   bool Identical = false;
+
+  double replayRate() const {
+    return Skipped + Replays ? double(Replays) / double(Skipped + Replays)
+                             : 0.0;
+  }
 };
 
 SubjectMeasurement measureSubject(const Subject &S, const CampaignOptions &Base,
@@ -89,9 +96,7 @@ SubjectMeasurement measureSubject(const Subject &S, const CampaignOptions &Base,
       PairSpeedup.push_back(double(UOff) / double(UOn));
     M.Identical &= BytesOff == BytesOn;
   }
-  std::sort(PairSpeedup.begin(), PairSpeedup.end());
-  M.SpeedupMedian =
-      PairSpeedup.empty() ? 0.0 : PairSpeedup[PairSpeedup.size() / 2];
+  M.SpeedupMedian = median(PairSpeedup);
   M.SpeedupBest = OnMin ? double(OffMin) / double(OnMin) : 0.0;
   if (OffMin)
     M.OffEps = double(Execs) * 1e6 / double(OffMin);
@@ -115,6 +120,66 @@ SubjectMeasurement measureSubject(const Subject &S, const CampaignOptions &Base,
   return M;
 }
 
+/// One group of subjects: the per-subject measurements, the median of
+/// their per-subject median speedups, and whether every pair was
+/// byte-identical with no replay mismatch.
+struct Group {
+  std::vector<SubjectMeasurement> Subjects;
+  double SpeedupMedian = 0.0;
+  bool Identical = true;
+  bool MismatchFree = true;
+};
+
+Group measureGroup(const std::vector<Subject> &Subjects,
+                   const CampaignOptions &Base, uint64_t Execs,
+                   uint32_t Reps) {
+  Group G;
+  std::vector<double> Medians;
+  for (const Subject &S : Subjects) {
+    G.Subjects.push_back(measureSubject(S, Base, Execs, Reps));
+    const SubjectMeasurement &M = G.Subjects.back();
+    G.Identical &= M.Identical;
+    G.MismatchFree &= M.ReplayMismatch == 0;
+    Medians.push_back(M.SpeedupMedian);
+  }
+  G.SpeedupMedian = median(std::move(Medians));
+  return G;
+}
+
+void printGroup(const char *What, const Group &G) {
+  std::printf("%s:\n", What);
+  std::printf("  %-9s %12s %12s %8s %8s %10s %9s %7s %9s\n", "subject",
+              "off exec/s", "on exec/s", "best", "median", "skipped",
+              "replays", "r", "mismatch");
+  for (const SubjectMeasurement &M : G.Subjects)
+    std::printf("  %-9s %12.0f %12.0f %7.2fx %7.2fx %10" PRIu64 " %9" PRIu64
+                " %7.3f %9" PRIu64 "\n",
+                M.Name.c_str(), M.OffEps, M.OnEps, M.SpeedupBest,
+                M.SpeedupMedian, M.Skipped, M.Replays, M.replayRate(),
+                M.ReplayMismatch);
+  std::printf("  median campaign speedup: %.2fx\n\n", G.SpeedupMedian);
+}
+
+std::string groupJson(const Group &G) {
+  std::string Out = "[";
+  char Buf[512];
+  for (size_t I = 0; I < G.Subjects.size(); ++I) {
+    const SubjectMeasurement &M = G.Subjects[I];
+    std::snprintf(Buf, sizeof(Buf),
+                  "%s{\"name\":\"%s\",\"off_execs_per_sec\":%.1f,"
+                  "\"on_execs_per_sec\":%.1f,\"speedup_best\":%.3f,"
+                  "\"speedup_median\":%.3f,\"skipped\":%" PRIu64
+                  ",\"replays\":%" PRIu64 ",\"replay_rate\":%.4f"
+                  ",\"replay_mismatch\":%" PRIu64 ",\"identical\":%s}",
+                  I ? "," : "", M.Name.c_str(), M.OffEps, M.OnEps,
+                  M.SpeedupBest, M.SpeedupMedian, M.Skipped, M.Replays,
+                  M.replayRate(), M.ReplayMismatch,
+                  M.Identical ? "true" : "false");
+    Out += Buf;
+  }
+  return Out + "]";
+}
+
 } // namespace
 
 int main() {
@@ -122,70 +187,33 @@ int main() {
   C.printHeader("Selective (two-tier) execution: campaign throughput vs "
                 "always-instrumented");
 
-  std::vector<Subject> Examples = loadExampleSubjects();
   const uint32_t Reps = std::max<uint32_t>(3, C.Runs);
   CampaignOptions Base = C.campaignOptions();
+  Group Examples = measureGroup(loadExampleSubjects(), Base, C.Execs, Reps);
+  Group Paper = measureGroup(C.Subjects, Base, C.Execs, Reps);
+  const bool Identical = Examples.Identical && Paper.Identical;
+  const bool MismatchFree = Examples.MismatchFree && Paper.MismatchFree;
 
-  std::vector<SubjectMeasurement> Subjects;
-  bool Identical = true;
-  bool MismatchFree = true;
-  for (const Subject &S : Examples) {
-    Subjects.push_back(measureSubject(S, Base, C.Execs, Reps));
-    Identical &= Subjects.back().Identical;
-    MismatchFree &= Subjects.back().ReplayMismatch == 0;
-  }
-
-  std::vector<double> Medians;
-  for (const SubjectMeasurement &M : Subjects)
-    Medians.push_back(M.SpeedupMedian);
-  std::sort(Medians.begin(), Medians.end());
-  const double CampaignSpeedupMedian =
-      Medians.empty() ? 0.0 : Medians[Medians.size() / 2];
-
-  std::printf("example-subject campaigns (%" PRIu64 " execs, %u paired "
-              "reps each):\n",
+  std::printf("path campaigns, default engine (%" PRIu64 " execs, %u paired "
+              "reps each; r = replays / cheap execs):\n\n",
               C.Execs, Reps);
-  std::printf("  %-9s %12s %12s %8s %8s %10s %9s %9s\n", "subject",
-              "off exec/s", "on exec/s", "best", "median", "skipped",
-              "replays", "mismatch");
-  for (const SubjectMeasurement &M : Subjects)
-    std::printf("  %-9s %12.0f %12.0f %7.2fx %7.2fx %10" PRIu64 " %9" PRIu64
-                " %9" PRIu64 "\n",
-                M.Name.c_str(), M.OffEps, M.OnEps, M.SpeedupBest,
-                M.SpeedupMedian, M.Skipped, M.Replays, M.ReplayMismatch);
-  std::printf("  median campaign speedup across example subjects: %.2fx\n",
-              CampaignSpeedupMedian);
+  printGroup("example subjects", Examples);
+  printGroup("paper subjects", Paper);
   std::printf("selective == always-instrumented results: %s\n",
               Identical ? "yes" : "NO");
   std::printf("replay mismatches: %s\n", MismatchFree ? "none" : "PRESENT");
 
-  std::string Doc = "{\"name\":\"selective_throughput\",";
-  {
-    char Buf[512];
-    Doc += "\"subjects\":[";
-    for (size_t I = 0; I < Subjects.size(); ++I) {
-      const SubjectMeasurement &M = Subjects[I];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "%s{\"name\":\"%s\",\"off_execs_per_sec\":%.1f,"
-          "\"on_execs_per_sec\":%.1f,\"speedup_best\":%.3f,"
-          "\"speedup_median\":%.3f,\"skipped\":%" PRIu64
-          ",\"replays\":%" PRIu64 ",\"replay_mismatch\":%" PRIu64
-          ",\"identical\":%s}",
-          I ? "," : "", M.Name.c_str(), M.OffEps, M.OnEps, M.SpeedupBest,
-          M.SpeedupMedian, M.Skipped, M.Replays, M.ReplayMismatch,
-          M.Identical ? "true" : "false");
-      Doc += Buf;
-    }
-    Doc += "],";
-    std::snprintf(Buf, sizeof(Buf),
-                  "\"campaign_execs\":%" PRIu64 ",\"reps\":%u,"
-                  "\"campaign_speedup_median\":%.3f,"
-                  "\"results_identical\":%s}\n",
-                  C.Execs, Reps, CampaignSpeedupMedian,
-                  Identical && MismatchFree ? "true" : "false");
-    Doc += Buf;
-  }
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                "\"campaign_execs\":%" PRIu64 ",\"reps\":%u,"
+                "\"campaign_speedup_median\":%.3f,"
+                "\"paper_speedup_median\":%.3f,"
+                "\"results_identical\":%s}\n",
+                C.Execs, Reps, Examples.SpeedupMedian, Paper.SpeedupMedian,
+                Identical && MismatchFree ? "true" : "false");
+  std::string Doc = "{\"name\":\"selective_throughput\",\"subjects\":" +
+                    groupJson(Examples) +
+                    ",\"paper_subjects\":" + groupJson(Paper) + "," + Buf;
 
   return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_selective.json"),
                           Doc, Identical && MismatchFree);

@@ -98,7 +98,7 @@ int main() {
   //===------------------------------------------------------------------===//
   // Leg 1: submission latency over a live socket.
   //===------------------------------------------------------------------===//
-  uint64_t SubmitMedian = 0, ResubmitMedian = 0, StatusMedian = 0;
+  double SubmitMedian = 0, ResubmitMedian = 0, StatusMedian = 0;
   {
     SchedulerConfig SC;
     SC.Root = freshRoot("latency");
@@ -146,15 +146,9 @@ int main() {
       if (St.first)
         Status.push_back(St.second);
     }
-    auto Median = [](std::vector<uint64_t> &V) -> uint64_t {
-      if (V.empty())
-        return 0;
-      std::sort(V.begin(), V.end());
-      return V[V.size() / 2];
-    };
-    SubmitMedian = Median(Submit);
-    ResubmitMedian = Median(Resubmit);
-    StatusMedian = Median(Status);
+    SubmitMedian = median(Submit);
+    ResubmitMedian = median(Resubmit);
+    StatusMedian = median(Status);
 
     Srv.stop();
     ServerThread.join();
@@ -163,11 +157,11 @@ int main() {
     fs::remove_all(SC.Root, Ec);
   }
   std::printf("submission latency over the socket (median of 64):\n");
-  std::printf("  submit (admission + store open): %6" PRIu64 " us\n",
+  std::printf("  submit (admission + store open): %8.1f us\n",
               SubmitMedian);
-  std::printf("  resubmit (idempotent, no store): %6" PRIu64 " us\n",
+  std::printf("  resubmit (idempotent, no store): %8.1f us\n",
               ResubmitMedian);
-  std::printf("  status:                          %6" PRIu64 " us\n",
+  std::printf("  status:                          %8.1f us\n",
               StatusMedian);
 
   //===------------------------------------------------------------------===//
@@ -334,8 +328,8 @@ int main() {
       "{\"bench\":\"serve_throughput\",\"subject\":\"%s\","
       "\"budget\":%" PRIu64 ",\"checkpoint_interval\":%" PRIu64 ","
       "\"workers\":%zu,"
-      "\"submit_micros\":%" PRIu64 ",\"resubmit_micros\":%" PRIu64 ","
-      "\"status_micros\":%" PRIu64 ",%s,"
+      "\"submit_micros\":%.1f,\"resubmit_micros\":%.1f,"
+      "\"status_micros\":%.1f,%s,"
       "\"zero_lost_work\":%s,"
       "\"preempt_campaigns\":%zu,\"plain_micros\":%" PRIu64 ","
       "\"unsliced_micros\":%" PRIu64 ",\"sliced_micros\":%" PRIu64 ","

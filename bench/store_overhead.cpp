@@ -107,9 +107,7 @@ int main() {
     }
   }
   const bool Identical = MemBytes == StoredBytes;
-  std::sort(PairPct.begin(), PairPct.end());
-  const double OverheadPct =
-      PairPct.empty() ? 0.0 : PairPct[PairPct.size() / 2];
+  const double OverheadPct = median(PairPct);
 
   // Checkpoint volume, from one traced stored run in its own directory.
   CampaignOptions Traced = InMemory;

@@ -117,9 +117,7 @@ int main() {
     }
   }
   const bool Identical = UntracedBytes == TracedBytes;
-  std::sort(PairPct.begin(), PairPct.end());
-  const double OverheadPct =
-      PairPct.empty() ? 0.0 : PairPct[PairPct.size() / 2];
+  const double OverheadPct = median(PairPct);
 
   // One traced pcguard campaign joins the record so the configs table
   // has both feedback families.

@@ -200,10 +200,7 @@ RawMeasurement measureRaw(const Subject &S, const InstrumentedBuild &IB,
     if (MinMicros[I])
       St.Eps = double(Inputs.size()) * 1e6 / double(MinMicros[I]);
     if (I) {
-      std::sort(PairSpeedup[I].begin(), PairSpeedup[I].end());
-      St.SpeedupMedian = PairSpeedup[I].empty()
-                             ? 0.0
-                             : PairSpeedup[I][PairSpeedup[I].size() / 2];
+      St.SpeedupMedian = median(PairSpeedup[I]);
       St.SpeedupBest =
           MinMicros[I] ? double(MinMicros[0]) / double(MinMicros[I]) : 0.0;
     }
@@ -259,8 +256,7 @@ int main() {
     std::vector<double> Medians;
     for (const RawMeasurement &M : Raw)
       Medians.push_back(M.Per[I].SpeedupMedian);
-    std::sort(Medians.begin(), Medians.end());
-    HeadlineMedian[I] = Medians.empty() ? 0.0 : Medians[Medians.size() / 2];
+    HeadlineMedian[I] = median(std::move(Medians));
   }
 
   //===--------------------------------------------------------------------===//
@@ -315,9 +311,7 @@ int main() {
     if (Camp[I].MinMicros && Camp[I].MinMicros != ~0ull)
       Camp[I].Eps = double(C.Execs) * 1e6 / double(Camp[I].MinMicros);
     if (I) {
-      std::sort(CampPair[I].begin(), CampPair[I].end());
-      Camp[I].SpeedupMedian =
-          CampPair[I].empty() ? 0.0 : CampPair[I][CampPair[I].size() / 2];
+      Camp[I].SpeedupMedian = median(CampPair[I]);
       CampaignIdentical &= Camp[I].Identical;
     }
   }

@@ -110,9 +110,10 @@ struct FuzzerOptions {
   const vm::jit::JitProgram *Jit = nullptr;
 
   /// Two-tier selective execution (vm::SelectiveMode resolved by the
-  /// campaign driver). Bulk executions run on a second cheap machine with
-  /// no coverage map attached; the full, map-writing execution happens
-  /// only when the cheap run's exec-path signature was never seen before.
+  /// campaign driver; set only for SelectiveMode::On). Bulk executions
+  /// run on a second cheap machine with no coverage map attached; the
+  /// full, map-writing execution happens only when the cheap run's
+  /// exec-path signature was never seen before.
   /// Equal signatures imply byte-identical coverage traces on this
   /// deterministic VM, so results, queue contents and campaign-visible
   /// coverage stay byte-identical to Selective = false — only per-exec

@@ -129,7 +129,8 @@ SubjectBuild::tryInstrumented(instr::Feedback Mode, const CampaignOptions &Opts,
     // same gate as the instrumentation itself. An audit failure is a
     // planner bug, reported like a failed instrumentation audit rather
     // than silently running the campaign non-selectively.
-    if (vm::selectiveEnabled(Opts.Selective) && !Slot->CheapImage) {
+    const bool Selective = vm::selectiveEnabled(Opts.Selective);
+    if (Selective && !Slot->CheapImage) {
       instr::ElisionPlan Plan = instr::planProbeElision(Slot->Mod);
       if (instr::auditEnabled()) {
         instr::AuditResult AR = instr::auditElisionPlan(Slot->Mod, Plan);
@@ -148,7 +149,9 @@ SubjectBuild::tryInstrumented(instr::Feedback Mode, const CampaignOptions &Opts,
     // a JIT campaign can add them to a slot built while the JIT was off.
     // compile() returning null (unsupported platform) is cached-as-null
     // by simply retrying: available() is false, so jitEnabled never
-    // steers a campaign here in the first place.
+    // steers a campaign here in the first place. The cheap program is
+    // compiled only for a campaign that runs the cheap tier itself, not
+    // because an earlier selective campaign left a cheap image behind.
     if (vm::jitEnabled(Opts.VmMode)) {
       if (!Slot->Jit) {
         Slot->Jit = vm::jit::JitProgram::compile(*Slot->Image);
@@ -156,7 +159,7 @@ SubjectBuild::tryInstrumented(instr::Feedback Mode, const CampaignOptions &Opts,
       } else {
         ++JitHitCount;
       }
-      if (Slot->CheapImage && !Slot->CheapJit)
+      if (Selective && !Slot->CheapJit)
         Slot->CheapJit = vm::jit::JitProgram::compile(*Slot->CheapImage);
     }
   }

@@ -67,7 +67,9 @@ struct InstrumentedBuild {
   /// execution state, so the sharing rules are the image's. Cached per
   /// (subject, feedback mode) under the same lock and key as the images:
   /// the compiled code depends only on the image bytes, which that key
-  /// fully determines. Null until a JIT campaign touches the slot.
+  /// fully determines. Null until a JIT campaign touches the slot;
+  /// CheapJit stays null until a selective (SelectiveMode::On) JIT
+  /// campaign does.
   std::unique_ptr<vm::jit::JitProgram> Jit;
   std::unique_ptr<vm::jit::JitProgram> CheapJit;
 };

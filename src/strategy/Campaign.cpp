@@ -85,8 +85,9 @@ fuzz::FuzzerOptions fuzzerOptions(const InstrumentedBuild &B,
   // reason as the image above.
   if (vm::jitEnabled(Opts.VmMode))
     FO.Jit = B.Jit.get();
-  // Selective (two-tier) execution: byte-identical results either way,
-  // so the knob is resolved per campaign exactly like the engine choice.
+  // Selective (two-tier) execution, only for an explicit
+  // SelectiveMode::On: byte-identical results either way, so the mode is
+  // resolved per campaign exactly like the engine choice.
   // The cheap image is only present when the build cache ran under a
   // selective + fast-path resolution; a null CheapImage falls back to the
   // interpreter cheap tier inside the fuzzer.

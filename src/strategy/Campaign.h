@@ -161,10 +161,11 @@ struct CampaignOptions {
 
   /// Two-tier selective execution (fuzz/Fuzzer.h): bulk execs on a cheap
   /// probe-free image, full instrumented replay only on unseen exec-path
-  /// signatures. Auto (the default) follows the PATHFUZZ_SELECTIVE
-  /// environment knob (on unless set to "0"). Byte-identical campaign
-  /// results either way — like VmMode, the knob only changes per-exec
-  /// cost, and it is likewise excluded from the checkpoint fingerprint.
+  /// signatures. Only On enables it; Auto (the default) and Off run one
+  /// full exec per input (see vm::selectiveEnabled). Byte-identical
+  /// campaign results either way — like VmMode, the mode only changes
+  /// per-exec cost, and it is likewise excluded from the checkpoint
+  /// fingerprint.
   vm::SelectiveMode Selective = vm::SelectiveMode::Auto;
 };
 

@@ -51,17 +51,10 @@ bool jitEnabled(VmExecMode Mode) {
 }
 
 bool selectiveEnabled(SelectiveMode Mode) {
-  switch (Mode) {
-  case SelectiveMode::Off:
-    return false;
-  case SelectiveMode::On:
-    return true;
-  case SelectiveMode::Auto:
-    break;
-  }
-  // Same contract as fastPathEnabled: re-read the environment on every
-  // Auto query so tests can flip the knob at runtime.
-  return envBool("PATHFUZZ_SELECTIVE", true);
+  // Auto is single-tier: with the trace-proportional map a full exec is
+  // cheap enough that the cheap tier plus signature replays cost more
+  // than they save on the paper subjects (docs/PERFORMANCE.md).
+  return Mode == SelectiveMode::On;
 }
 
 ProgramImage ProgramImage::build(const mir::Module &M,

@@ -214,14 +214,14 @@ bool fastPathEnabled(VmExecMode Mode);
 bool jitEnabled(VmExecMode Mode);
 
 /// Selects the two-tier selective-instrumentation mode for campaign-level
-/// drivers (CampaignOptions::Selective). Auto resolves the
-/// PATHFUZZ_SELECTIVE environment knob (default: on). Like VmMode, the
-/// knob never changes campaign results — selective runs are byte-identical
-/// to always-instrumented ones; it exists for benchmarking and bisection.
+/// drivers (CampaignOptions::Selective). Auto is single-tier, like Off:
+/// the cheap tier loses to one full exec per input on the paper subjects
+/// (docs/PERFORMANCE.md), so only an explicit On runs it. Like VmMode,
+/// the mode never changes campaign results — selective runs are
+/// byte-identical to always-instrumented ones.
 enum class SelectiveMode : uint8_t { Auto, Off, On };
 
-/// Whether Mode resolves to two-tier selective execution. Auto consults
-/// PATHFUZZ_SELECTIVE on every call (tests flip it at runtime).
+/// Whether Mode resolves to two-tier selective execution: only On does.
 bool selectiveEnabled(SelectiveMode Mode);
 
 /// Whether the fast-path executor was compiled with computed-goto

@@ -18,7 +18,9 @@
 //  - per campaign: selective-on vs selective-off serializations are equal
 //    across drivers, the selective run actually skips (the
 //    vm.selective.* counters prove the cheap tier engaged), and
-//    kill+resume under selective reproduces the uninterrupted result.
+//    kill+resume under selective reproduces the uninterrupted result;
+//  - per mode: only SelectiveMode::On runs the cheap tier, and a default
+//    (Auto) JIT campaign builds no cheap image or cheap native program.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,7 @@
 #include "telemetry/Telemetry.h"
 #include "vm/Image.h"
 #include "vm/Vm.h"
+#include "vm/jit/Jit.h"
 
 #include <gtest/gtest.h>
 
@@ -446,19 +449,69 @@ TEST(Selective, CheckpointResumeIsByteIdentical) {
 // Mode resolution
 //===----------------------------------------------------------------------===//
 
-/// CampaignOptions::Selective forces the tier choice; Auto follows
-/// PATHFUZZ_SELECTIVE (default on).
+/// CampaignOptions::Selective forces the tier choice; Auto is single-tier
+/// and reads no environment knob, so a leftover PATHFUZZ_SELECTIVE=1 does
+/// not bring the cheap tier back.
 TEST(Selective, ModeResolution) {
   EXPECT_FALSE(vm::selectiveEnabled(vm::SelectiveMode::Off));
   EXPECT_TRUE(vm::selectiveEnabled(vm::SelectiveMode::On));
-
-  unsetenv("PATHFUZZ_SELECTIVE");
-  EXPECT_TRUE(vm::selectiveEnabled(vm::SelectiveMode::Auto));
-  setenv("PATHFUZZ_SELECTIVE", "0", 1);
   EXPECT_FALSE(vm::selectiveEnabled(vm::SelectiveMode::Auto));
   setenv("PATHFUZZ_SELECTIVE", "1", 1);
-  EXPECT_TRUE(vm::selectiveEnabled(vm::SelectiveMode::Auto));
+  EXPECT_FALSE(vm::selectiveEnabled(vm::SelectiveMode::Auto));
   unsetenv("PATHFUZZ_SELECTIVE");
+}
+
+/// A default-options (Auto selective) JIT campaign pays for no cheap
+/// tier: on a fresh cache it builds neither the cheap image nor its
+/// native program; on a slot where an earlier selective fast-path
+/// campaign left a cheap image it still compiles no cheap program; and
+/// its trace has no vm.selective.* family and counts only the full
+/// program's code in vm.jit.bytes.
+TEST(Selective, DefaultJitCampaignBuildsNoCheapTier) {
+  if (!vm::jit::available())
+    GTEST_SKIP() << "JIT unsupported on this platform";
+  const Subject S = exampleSubjects()[1]; // lookup
+  CampaignOptions Default;
+  Default.Kind = FuzzerKind::Path;
+  Default.ExecBudget = 2000;
+  Default.Seed = 11;
+  Default.VmMode = vm::VmExecMode::Jit; // the engine Auto picks here
+  Default.Trace.Enabled = true;
+  ASSERT_EQ(Default.Selective, vm::SelectiveMode::Auto);
+
+  {
+    BuildCache Cache;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+    (void)runCampaign(*SB, Default);
+    const InstrumentedBuild &IB =
+        SB->instrumented(instr::Feedback::Path, Default);
+    EXPECT_NE(IB.Jit, nullptr);
+    EXPECT_EQ(IB.CheapImage, nullptr);
+    EXPECT_EQ(IB.CheapJit, nullptr);
+  }
+
+  BuildCache Cache;
+  std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+  (void)runCampaign(*SB, selectiveOpts(FuzzerKind::Path,
+                                       vm::SelectiveMode::On));
+  const InstrumentedBuild &IB =
+      SB->instrumented(instr::Feedback::Path, Default);
+  ASSERT_NE(IB.CheapImage, nullptr); // left by the selective campaign
+  CampaignResult R = runCampaign(*SB, Default);
+  ASSERT_NE(IB.Jit, nullptr);
+  EXPECT_EQ(IB.CheapJit, nullptr);
+
+  if (!telemetry::Compiled)
+    return;
+  ASSERT_NE(R.Trace, nullptr);
+  ASSERT_FALSE(R.Trace->Instances.empty());
+  for (const telemetry::InstanceRecord &I : R.Trace->Instances) {
+    for (const auto &[Name, Value] : I.Metrics.counters())
+      EXPECT_NE(Name.rfind("vm.selective.", 0), 0u) << Name;
+    ASSERT_TRUE(I.Metrics.gauges().count("vm.jit.bytes"));
+    EXPECT_EQ(I.Metrics.gauges().at("vm.jit.bytes"),
+              static_cast<int64_t>(IB.Jit->stats().CodeBytes));
+  }
 }
 
 } // namespace

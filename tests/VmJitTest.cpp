@@ -409,9 +409,9 @@ TEST(VmJit, CampaignTelemetryIdentity) {
                 withoutEngineLocalFamilies(B.Metrics.gauges()));
       EXPECT_TRUE(telemetry::sameObservableMetrics(A.Metrics, B.Metrics));
       // The JIT campaign must actually carry the family, with at least
-      // every counted execution served by compiled code (the selective
-      // cheap tier and queue replays run extra JIT executions on top of
-      // the budgeted ones, so >= rather than ==)...
+      // every counted execution served by compiled code (queue replays
+      // run extra JIT executions on top of the budgeted ones, so >=
+      // rather than ==)...
       ASSERT_TRUE(B.Metrics.counters().count("vm.jit.execs"));
       EXPECT_GE(B.Metrics.counters().at("vm.jit.execs"),
                 B.Metrics.counters().at("execs"));
