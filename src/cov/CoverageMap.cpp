@@ -220,5 +220,32 @@ uint32_t VirginMap::coveredEntries() const {
   return N;
 }
 
+std::vector<uint32_t> VirginMap::touchedIndices() const {
+  std::vector<uint32_t> Out;
+  for (uint32_t W = 0; W < Virgin.size(); ++W) {
+    if (Virgin[W] == ~uint64_t(0))
+      continue;
+    const auto *B = reinterpret_cast<const uint8_t *>(&Virgin[W]);
+    for (uint32_t K = 0; K < 8; ++K)
+      if (B[K] != 0xff)
+        Out.push_back(W * 8 + K);
+  }
+  return Out;
+}
+
+bool VirginMap::restoreSparse(const std::vector<uint32_t> &Indices,
+                              const std::vector<uint8_t> &Bytes) {
+  if (Indices.size() != Bytes.size())
+    return false;
+  std::fill(Virgin.begin(), Virgin.end(), ~uint64_t(0));
+  auto *Map = reinterpret_cast<uint8_t *>(Virgin.data());
+  for (size_t K = 0; K < Indices.size(); ++K) {
+    if (Indices[K] >= Size || Bytes[K] == 0xff)
+      return false;
+    Map[Indices[K]] = Bytes[K];
+  }
+  return true;
+}
+
 } // namespace cov
 } // namespace pathfuzz

@@ -149,14 +149,15 @@ public:
     return reinterpret_cast<const uint8_t *>(Virgin.data());
   }
 
-  /// Overwrite the accumulated view with Size bytes captured from another
-  /// virgin map (snapshot restore); false on size mismatch.
-  bool restoreFrom(const uint8_t *Data, size_t Size) {
-    if (Size != this->Size)
-      return false;
-    std::memcpy(Virgin.data(), Data, Size);
-    return true;
-  }
+  /// Indices of the entries observed at least once (bytes other than
+  /// 0xFF), ascending: the sparse form snapshots carry.
+  std::vector<uint32_t> touchedIndices() const;
+
+  /// Overwrite the accumulated view with Bytes[K] at Indices[K] and 0xFF
+  /// everywhere else (snapshot restore). False unless both have the same
+  /// length, every index is inside the map and no byte is 0xFF.
+  bool restoreSparse(const std::vector<uint32_t> &Indices,
+                     const std::vector<uint8_t> &Bytes);
 
 private:
   std::vector<uint64_t> Virgin;

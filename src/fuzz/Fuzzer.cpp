@@ -261,7 +261,6 @@ bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
   E.FoundAtExec = Stats.Execs;
   E.EdgeSet = Res.ShadowEdges;
   Trace.nonzeroIndices(E.MapSet);
-  E.Density = static_cast<uint32_t>(E.MapSet.size());
 
   Stats.LastFindExec = Stats.Execs;
   Q.add(std::move(E));

@@ -76,15 +76,14 @@ void Corpus::recomputeFavored() {
 }
 
 void Corpus::restoreState(std::vector<QueueEntry> NewEntries,
-                          std::vector<int32_t> NewTopRated, bool NewNeedCull,
-                          uint32_t NewPendingFavored, uint64_t NewCullPasses) {
-  Entries = std::move(NewEntries);
-  TopRated = std::move(NewTopRated);
+                          bool NewNeedCull, uint32_t NewPendingFavored,
+                          uint64_t NewCullPasses) {
+  Entries.clear();
+  Entries.reserve(NewEntries.size());
+  TopRated.assign(TopRated.size(), -1);
   Owned.clear();
-  for (uint32_t MapIdx = 0; MapIdx < TopRated.size(); ++MapIdx)
-    if (TopRated[MapIdx] >= 0)
-      Owned.push_back(MapIdx);
-  Uncovered.assign(TopRated.size(), 0);
+  for (QueueEntry &E : NewEntries)
+    add(std::move(E));
   NeedCull = NewNeedCull;
   PendingFavoredCount = NewPendingFavored;
   CullPasses = NewCullPasses;

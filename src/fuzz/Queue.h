@@ -30,13 +30,13 @@ namespace fuzz {
 struct QueueEntry {
   Input Data;
   uint64_t Checksum = 0; ///< classified-trace checksum (calibration)
-  uint32_t Density = 0;  ///< nonzero classified map entries
   uint64_t Steps = 0;    ///< VM steps (execution cost)
   uint32_t Depth = 0;    ///< mutation chain depth from the seeds
   bool Favored = false;
   bool WasFuzzed = false;
   uint64_t FoundAtExec = 0;
   /// Feedback-map indices this input covers (sorted) — favored set input.
+  /// Its size is the entry's map density.
   std::vector<uint32_t> MapSet;
   /// Shadow (true) edges this input covers (sorted) — culling/coverage.
   std::vector<uint32_t> EdgeSet;
@@ -97,24 +97,24 @@ public:
   /// favored-corpus approximation of set cover).
   std::vector<size_t> edgePreservingSubset() const;
 
-  // -- Snapshot support (fuzz/Snapshot.cpp). The corpus is serialized
-  //    exactly — including the top-rated table and the deferred-cull flag —
-  //    so a restored fuzzer replays the favored-marking schedule
+  // -- Snapshot support (fuzz/Snapshot.cpp). A snapshot carries the entries
+  //    and the cull state but not the top-rated table: add() is the
+  //    table's only writer and entries never change once added, so
+  //    replaying add() over the entries in order rebuilds it exactly, and
+  //    a restored fuzzer replays the favored-marking schedule
   //    byte-identically instead of merely equivalently.
   const std::vector<int32_t> &topRatedTable() const { return TopRated; }
   bool cullPending() const { return NeedCull; }
-  /// Replace the whole corpus state with deserialized contents. TopRated
-  /// must have the same size as the map this corpus was built for.
-  void restoreState(std::vector<QueueEntry> NewEntries,
-                    std::vector<int32_t> NewTopRated, bool NewNeedCull,
+  /// Replace the whole corpus state with deserialized contents. Every
+  /// MapSet index must lie inside the map this corpus was built for.
+  void restoreState(std::vector<QueueEntry> NewEntries, bool NewNeedCull,
                     uint32_t NewPendingFavored, uint64_t NewCullPasses);
 
 private:
   std::vector<QueueEntry> Entries;
   std::vector<int32_t> TopRated; ///< per map index: best entry or -1
   /// Map indices whose TopRated slot is taken, ascending: the cull walks
-  /// these instead of the whole table. Derived from TopRated, so snapshots
-  /// do not carry it.
+  /// these instead of the whole table.
   std::vector<uint32_t> Owned;
   /// Cull scratch, one byte per map index. Only Owned slots are read, and
   /// each pass re-arms them first, so it is never cleared.

@@ -24,12 +24,11 @@ std::vector<uint8_t> sealSnapshot(std::vector<uint8_t> Payload) {
 }
 
 bool openSnapshot(const std::vector<uint8_t> &Blob,
-                  std::vector<uint8_t> &Payload) {
+                  std::vector<uint8_t> &Payload, std::string *VersionError) {
   ByteReader R(Blob);
   if (R.u32() != SnapshotMagic)
     return false;
-  if (R.u32() != SnapshotVersion)
-    return false;
+  uint32_t Version = R.u32();
   uint64_t Len = R.u64();
   uint64_t Checksum = R.u64();
   if (!R.ok() || Len != R.remaining())
@@ -37,6 +36,13 @@ bool openSnapshot(const std::vector<uint8_t> &Blob,
   std::vector<uint8_t> P = R.raw(Len);
   if (!R.done() || fnv1a(P.data(), P.size()) != Checksum)
     return false;
+  if (Version != SnapshotVersion) {
+    if (VersionError)
+      *VersionError = "snapshot version " + std::to_string(Version) +
+                      ", this build reads version " +
+                      std::to_string(SnapshotVersion);
+    return false;
+  }
   Payload = std::move(P);
   return true;
 }
@@ -122,28 +128,27 @@ namespace {
 void writeQueueEntry(ByteWriter &W, const QueueEntry &E) {
   W.blob(E.Data);
   W.u64(E.Checksum);
-  W.u32(E.Density);
   W.u64(E.Steps);
   W.u32(E.Depth);
   W.u8(E.Favored);
   W.u8(E.WasFuzzed);
   W.u64(E.FoundAtExec);
-  W.vecU32(E.MapSet);
-  W.vecU32(E.EdgeSet);
+  W.ascendingU32(E.MapSet);
+  W.ascendingU32(E.EdgeSet);
 }
 
-QueueEntry readQueueEntry(ByteReader &R) {
+QueueEntry readQueueEntry(ByteReader &R, uint32_t MapSize,
+                          uint32_t NumEdges) {
   QueueEntry E;
   E.Data = R.blob();
   E.Checksum = R.u64();
-  E.Density = R.u32();
   E.Steps = R.u64();
   E.Depth = R.u32();
   E.Favored = R.u8() != 0;
   E.WasFuzzed = R.u8() != 0;
   E.FoundAtExec = R.u64();
-  E.MapSet = R.vecU32();
-  E.EdgeSet = R.vecU32();
+  E.MapSet = R.ascendingU32(MapSize);
+  E.EdgeSet = R.ascendingU32(NumEdges);
   return E;
 }
 
@@ -179,9 +184,13 @@ std::vector<uint8_t> Fuzzer::snapshot() const {
   W.u64(AvgStepsNum);
   W.u64(AvgStepsDen);
 
-  // Coverage: the virgin map and the shadow-edge bitmap.
-  W.bytes(Virgin.data(), Trace.size());
-  W.bytes(EdgeCovered.data(), EdgeCovered.size());
+  // Coverage, sparse: the virgin map's touched indices and their bytes,
+  // then the covered shadow edges.
+  std::vector<uint32_t> Touched = Virgin.touchedIndices();
+  W.ascendingU32(Touched);
+  for (uint32_t I : Touched)
+    W.u8(Virgin.data()[I]);
+  W.ascendingU32(coveredEdgeList());
 
   // Cmp dictionary (the set is rebuilt from the vector on restore).
   W.vecI64(CmpDict);
@@ -198,14 +207,11 @@ std::vector<uint8_t> Fuzzer::snapshot() const {
   for (const HangRecord &H : Hangs)
     writeHangRecord(W, H);
 
-  // Corpus, including the top-rated table and deferred-cull flag.
+  // Corpus and its cull state; restore rebuilds the top-rated table from
+  // the entries.
   W.u64(Q.size());
   for (size_t I = 0; I < Q.size(); ++I)
     writeQueueEntry(W, Q[I]);
-  const std::vector<int32_t> &TopRated = Q.topRatedTable();
-  W.u64(TopRated.size());
-  for (int32_t T : TopRated)
-    W.u32(static_cast<uint32_t>(T));
   W.u8(Q.cullPending());
   W.u32(Q.pendingFavored());
   W.u64(Q.cullPasses());
@@ -271,16 +277,14 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
   AvgStepsNum = Rd.u64();
   AvgStepsDen = Rd.u64();
 
-  std::vector<uint8_t> VirginBytes(Trace.size());
-  if (!Rd.bytes(VirginBytes.data(), VirginBytes.size()))
+  std::vector<uint32_t> Touched = Rd.ascendingU32(Trace.size());
+  if (!Virgin.restoreSparse(Touched, Rd.raw(Touched.size())))
     return false;
-  if (!Virgin.restoreFrom(VirginBytes.data(), VirginBytes.size()))
-    return false;
-  if (!Rd.bytes(EdgeCovered.data(), EdgeCovered.size()))
-    return false;
-  EdgeCoveredCount = 0;
-  for (uint8_t B : EdgeCovered)
-    EdgeCoveredCount += (B != 0);
+  std::vector<uint32_t> Covered = Rd.ascendingU32(EdgeCovered.size());
+  std::fill(EdgeCovered.begin(), EdgeCovered.end(), 0);
+  for (uint32_t Edge : Covered)
+    EdgeCovered[Edge] = 1;
+  EdgeCoveredCount = static_cast<uint32_t>(Covered.size());
 
   CmpDict = Rd.vecI64();
   CmpDictSet.clear();
@@ -305,32 +309,18 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
     HangHashes.insert(Hangs.back().InputHash);
   }
 
+  // Every MapSet and EdgeSet is range- and order-checked by the set codec;
+  // the cycle must end within the queue. (The envelope checksum guards
+  // against damage, not forgery, and the corpus, the cull and the
+  // scheduler index by these values unchecked.)
   uint64_t NEntries = Rd.u64();
   std::vector<QueueEntry> Entries;
   for (uint64_t I = 0; I < NEntries && Rd.ok(); ++I)
-    Entries.push_back(readQueueEntry(Rd));
-  uint64_t NTop = Rd.u64();
-  if (NTop != Trace.size())
-    return false;
-  std::vector<int32_t> TopRated(NTop);
-  for (int32_t &T : TopRated)
-    T = static_cast<int32_t>(Rd.u32());
+    Entries.push_back(readQueueEntry(Rd, Trace.size(),
+                                     static_cast<uint32_t>(EdgeCovered.size())));
   bool NeedCull = Rd.u8() != 0;
   uint32_t PendingFavored = Rd.u32();
   uint64_t CullPasses = Rd.u64();
-
-  // Range checks. The envelope checksum guards against damage, not forgery,
-  // and the corpus, the cull and the scheduler index by these values
-  // unchecked: every TopRated slot names an entry or -1, every MapSet is
-  // strictly ascending and inside the map, and the cycle ends within the
-  // queue.
-  for (int32_t T : TopRated)
-    if (T < -1 || T >= static_cast<int64_t>(Entries.size()))
-      return false;
-  for (const QueueEntry &E : Entries)
-    for (size_t I = 0; I < E.MapSet.size(); ++I)
-      if (E.MapSet[I] >= NTop || (I && E.MapSet[I] <= E.MapSet[I - 1]))
-        return false;
   if (Sched.CycleEnd > Entries.size())
     return false;
 
@@ -350,8 +340,7 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
 
   if (!Rd.done())
     return false;
-  Q.restoreState(std::move(Entries), std::move(TopRated), NeedCull,
-                 PendingFavored, CullPasses);
+  Q.restoreState(std::move(Entries), NeedCull, PendingFavored, CullPasses);
   return true;
 }
 

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace pathfuzz {
@@ -42,8 +43,11 @@ namespace fuzz {
 constexpr uint32_t SnapshotMagic = 0x535a4650; // "PFZS" little-endian
 /// Version 2 added the telemetry section (metrics counters, histograms,
 /// the sample series and the event ring) so a resumed campaign reports
-/// the same cumulative series as an uninterrupted one.
-constexpr uint32_t SnapshotVersion = 2;
+/// the same cumulative series as an uninterrupted one. Version 3 sizes the
+/// fuzzer payload by coverage: the virgin map, the covered edges and each
+/// entry's MapSet/EdgeSet are ascending varint sets, and the top-rated
+/// table is rebuilt on restore instead of stored.
+constexpr uint32_t SnapshotVersion = 3;
 
 // The byte writer/reader moved to support/Bytes.h (the telemetry layer
 // serializes with them too); re-exported here for the existing users.
@@ -54,9 +58,13 @@ using pathfuzz::ByteWriter;
 std::vector<uint8_t> sealSnapshot(std::vector<uint8_t> Payload);
 
 /// Validate the envelope; on success fills Payload and returns true. Any
-/// corruption (magic, version, truncation, checksum) returns false.
+/// corruption (magic, version, truncation, checksum) returns false. When
+/// the only fault is a well-formed envelope of another version and
+/// VersionError is given, it is set to a message naming the version found
+/// and the one this build reads; it is left alone on every other failure.
 bool openSnapshot(const std::vector<uint8_t> &Blob,
-                  std::vector<uint8_t> &Payload);
+                  std::vector<uint8_t> &Payload,
+                  std::string *VersionError = nullptr);
 
 // Record serializers shared with the campaign checkpoint code.
 void writeInput(ByteWriter &W, const Input &Data);

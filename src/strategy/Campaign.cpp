@@ -773,8 +773,11 @@ CampaignResult resumeCampaign(SubjectBuild &B, const CampaignOptions &Opts,
     return {};
   }
   std::vector<uint8_t> Payload;
-  if (!fuzz::openSnapshot(Checkpoint, Payload)) {
-    setCampaignError(Err, "corrupt or truncated checkpoint");
+  std::string VersionErr;
+  if (!fuzz::openSnapshot(Checkpoint, Payload, &VersionErr)) {
+    setCampaignError(Err, VersionErr.empty()
+                              ? "corrupt or truncated checkpoint"
+                              : "unsupported checkpoint: " + VersionErr);
     return {};
   }
   // The fingerprint is the public writeOptionsFingerprint (Campaign.h):

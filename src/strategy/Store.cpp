@@ -92,8 +92,10 @@ bool readManifest(const fs::path &Path, ManifestData &M, std::string &Err) {
   std::vector<uint8_t> Raw, Payload;
   if (!io::readFileBounded(Path.string(), MaxStoreFileBytes, Raw, &Err))
     return false;
-  if (!fuzz::openSnapshot(Raw, Payload)) {
-    Err = "corrupt manifest envelope";
+  std::string VersionErr;
+  if (!fuzz::openSnapshot(Raw, Payload, &VersionErr)) {
+    Err = VersionErr.empty() ? "corrupt manifest envelope"
+                             : "unsupported manifest: " + VersionErr;
     return false;
   }
   ByteReader Rd(Payload);

@@ -49,6 +49,24 @@ public:
     u64(S.size());
     bytes(S.data(), S.size());
   }
+  /// Unsigned LEB128: seven bits per byte, low group first, high bit set
+  /// on every byte but the last.
+  void varint(uint64_t V) {
+    for (; V >= 0x80; V >>= 7)
+      Buf.push_back(static_cast<uint8_t>(V | 0x80));
+    Buf.push_back(static_cast<uint8_t>(V));
+  }
+  /// A strictly ascending u32 set: varint count, then each element as a
+  /// varint gap past its predecessor plus one (the first past zero), so a
+  /// set costs about a byte per element wherever it is dense.
+  void ascendingU32(const std::vector<uint32_t> &Xs) {
+    varint(Xs.size());
+    uint64_t Next = 0;
+    for (uint32_t X : Xs) {
+      varint(X - Next);
+      Next = uint64_t(X) + 1;
+    }
+  }
   void vecU32(const std::vector<uint32_t> &Xs) {
     u64(Xs.size());
     for (uint32_t X : Xs)
@@ -117,6 +135,47 @@ public:
     }
     std::string Out(reinterpret_cast<const char *>(P), N);
     P += N;
+    return Out;
+  }
+  /// LEB128 written by ByteWriter::varint. Only the canonical encoding is
+  /// accepted: at most ten bytes, no bits past 64 and no zero final group
+  /// after the first byte.
+  uint64_t varint() {
+    uint64_t V = 0;
+    for (unsigned Shift = 0; Shift < 64 && OkFlag; Shift += 7) {
+      uint8_t B = u8();
+      if ((Shift == 63 && B > 1) || (Shift && B == 0))
+        break;
+      V |= static_cast<uint64_t>(B & 0x7f) << Shift;
+      if (!(B & 0x80))
+        return V;
+    }
+    OkFlag = false;
+    return 0;
+  }
+  /// A set written by ByteWriter::ascendingU32 whose elements are all below
+  /// Bound (at most 2^32). A count larger than the remaining bytes (every
+  /// element takes at least one) or an element at or past Bound latches
+  /// the reader.
+  std::vector<uint32_t> ascendingU32(uint64_t Bound) {
+    if (Bound > (uint64_t(1) << 32))
+      Bound = uint64_t(1) << 32;
+    uint64_t N = varint();
+    if (N > remaining()) {
+      OkFlag = false;
+      return {};
+    }
+    std::vector<uint32_t> Out(N);
+    uint64_t Next = 0;
+    for (uint32_t &X : Out) {
+      uint64_t Gap = varint();
+      if (!OkFlag || Gap >= Bound - Next) {
+        OkFlag = false;
+        return {};
+      }
+      X = static_cast<uint32_t>(Next + Gap);
+      Next = uint64_t(X) + 1;
+    }
     return Out;
   }
   std::vector<uint32_t> vecU32() {

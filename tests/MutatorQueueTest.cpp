@@ -217,11 +217,12 @@ TEST(Corpus, OwnedIndexCullMatchesFullTableWalk) {
     step(Q, Passes, E, Fuzz, "add " + std::to_string(I));
   }
 
-  // A restored corpus rebuilds its owned list from the top-rated table and
-  // keeps culling exactly like the original.
+  // A restored corpus rebuilds its top-rated table and owned list from the
+  // entries alone and keeps culling exactly like the original.
   Corpus Back(MapSize);
-  Back.restoreState(Q.entries(), Q.topRatedTable(), Q.cullPending(),
-                    Q.pendingFavored(), Q.cullPasses());
+  Back.restoreState(Q.entries(), Q.cullPending(), Q.pendingFavored(),
+                    Q.cullPasses());
+  ASSERT_EQ(Back.topRatedTable(), Q.topRatedTable());
   uint64_t BackPasses = Passes;
   for (int I = 0; I < 100; ++I) {
     QueueEntry E = randomEntry();

@@ -117,10 +117,22 @@ TEST(Snapshot, EnvelopeRejectsCorruption) {
   BadMagic[0] ^= 0xff;
   EXPECT_FALSE(openSnapshot(BadMagic, Out));
 
-  // Unknown version.
+  // Unknown version: rejected, and named when the caller asks why.
   std::vector<uint8_t> BadVersion = Blob;
   BadVersion[4] = 0x7f;
   EXPECT_FALSE(openSnapshot(BadVersion, Out));
+  std::string Why;
+  EXPECT_FALSE(openSnapshot(BadVersion, Out, &Why));
+  EXPECT_EQ(Why, "snapshot version 127, this build reads version " +
+                     std::to_string(SnapshotVersion));
+
+  // Damage is never reported as a version mismatch, even next to one.
+  BadVersion.back() ^= 0x01;
+  for (const std::vector<uint8_t> *Bad : {&Flipped, &Long, &BadVersion}) {
+    Why.clear();
+    EXPECT_FALSE(openSnapshot(*Bad, Out, &Why));
+    EXPECT_EQ(Why, "");
+  }
 }
 
 TEST(Snapshot, ByteReaderRejectsOversizedLengths) {
@@ -283,22 +295,39 @@ TEST(Snapshot, RestoreRejectsMismatchedConfiguration) {
 }
 
 /// Overwrite Payload[At..] with V's little-endian bytes.
-template <typename T>
-void patch(std::vector<uint8_t> &Payload, size_t At, T V) {
+void patchU64(std::vector<uint8_t> &Payload, size_t At, uint64_t V) {
+  ASSERT_LE(At + 8, Payload.size());
+  for (int I = 0; I < 8; ++I)
+    Payload[At + I] = static_cast<uint8_t>(V >> (8 * I));
+}
+
+/// Xs as ByteWriter::ascendingU32 writes it.
+std::vector<uint8_t> encodeSet(const std::vector<uint32_t> &Xs) {
   ByteWriter W;
-  if constexpr (sizeof(T) == 4)
-    W.u32(static_cast<uint32_t>(V));
-  else
-    W.u64(static_cast<uint64_t>(V));
-  std::vector<uint8_t> Bytes = W.take();
-  ASSERT_LE(At + Bytes.size(), Payload.size());
-  std::copy(Bytes.begin(), Bytes.end(), Payload.begin() + At);
+  W.ascendingU32(Xs);
+  return W.take();
+}
+
+/// Payload with [At, At + Len) replaced by Bytes.
+std::vector<uint8_t> splice(const std::vector<uint8_t> &Payload, size_t At,
+                            size_t Len, const std::vector<uint8_t> &Bytes) {
+  std::vector<uint8_t> Out(Payload.begin(), Payload.begin() + At);
+  Out.insert(Out.end(), Bytes.begin(), Bytes.end());
+  Out.insert(Out.end(), Payload.begin() + At + Len, Payload.end());
+  return Out;
+}
+
+/// Xs with its last element replaced by V.
+std::vector<uint32_t> withLast(std::vector<uint32_t> Xs, uint32_t V) {
+  Xs.back() = V;
+  return Xs;
 }
 
 TEST(Snapshot, RestoreRejectsOutOfRangeQueueState) {
   // The envelope checksum only catches damage: a resealed payload passes
-  // it whatever it holds. Each case patches one queue field of an untraced
-  // snapshot out of range, reseals it, and restore must reject it.
+  // it whatever it holds. Each case moves one index of an untraced
+  // snapshot out of range, reseals it, and restore must reject it. (The
+  // set codec cannot express a set that is not strictly ascending.)
   Harness H(BuggyLoop, instr::Feedback::Path);
   FuzzerOptions FO;
   FO.Seed = 3;
@@ -313,57 +342,103 @@ TEST(Snapshot, RestoreRejectsOutOfRangeQueueState) {
     Fuzzer B(H.Mod, H.Report, H.Shadow, FO);
     return B.restore(sealSnapshot(Payload));
   };
-  ASSERT_TRUE(Restores(Good));
+
+  // The top-rated table is not in the snapshot: restore rebuilds it from
+  // the entries, exactly.
+  {
+    Fuzzer B(H.Mod, H.Report, H.Shadow, FO);
+    ASSERT_TRUE(B.restore(sealSnapshot(Good)));
+    EXPECT_EQ(B.corpus().topRatedTable(), A.corpus().topRatedTable());
+  }
 
   // Schedule cursor: CycleEnd follows the two structural u32s, four RNG
   // words and CurIdx.
   const size_t CycleEndAt = 4 + 4 + 4 * 8 + 8;
   {
     std::vector<uint8_t> P = Good;
-    patch<uint64_t>(P, CycleEndAt, Entries);
+    patchU64(P, CycleEndAt, Entries);
     EXPECT_TRUE(Restores(P)) << "a cycle may span the whole queue";
-    patch<uint64_t>(P, CycleEndAt, Entries + 1);
+    patchU64(P, CycleEndAt, Entries + 1);
     EXPECT_FALSE(Restores(P)) << "CycleEnd past the queue";
   }
 
-  // TopRated: the map-sized u32 table just before the untraced tail (u8
-  // cull flag, u32 pending favored, u64 cull passes, u8 no-telemetry).
-  const size_t MapSize = size_t(1) << FO.MapSizeLog2;
-  const size_t TopRatedAt = Good.size() - (1 + 4 + 8 + 1) - 4 * MapSize;
+  // Coverage: the virgin set and its bytes, then the covered-edge set,
+  // after the cursor (CycleEnd, Cycles), five stats words, the growth
+  // series and the two step averages.
+  const uint32_t MapSize = uint32_t(1) << FO.MapSizeLog2;
+  const uint32_t NumEdges = H.Shadow.numEdges();
+  const size_t VirginAt =
+      CycleEndAt + 2 * 8 + 5 * 8 + 8 + 16 * A.stats().QueueGrowth.size() + 16;
+  ByteReader Rd(Good.data() + VirginAt, Good.size() - VirginAt);
+  const std::vector<uint32_t> Touched = Rd.ascendingU32(MapSize);
+  const std::vector<uint8_t> TouchedBytes = Rd.raw(Touched.size());
+  const std::vector<uint32_t> Covered = Rd.ascendingU32(NumEdges);
+  ASSERT_TRUE(Rd.ok());
+  ASSERT_FALSE(Touched.empty());
+  ASSERT_EQ(Covered, A.coveredEdgeList());
+  const size_t TouchedLen = encodeSet(Touched).size();
+  const size_t CoveredAt = VirginAt + TouchedLen + Touched.size();
   {
-    ByteReader Rd(Good);
-    ASSERT_TRUE(Rd.raw(TopRatedAt).size() == TopRatedAt);
-    EXPECT_EQ(static_cast<int32_t>(Rd.u32()), A.corpus().topRatedTable()[0]);
+    std::vector<uint8_t> P = splice(Good, VirginAt, TouchedLen,
+                                    encodeSet(withLast(Touched, MapSize)));
+    EXPECT_FALSE(Restores(P)) << "virgin index at the map size";
   }
-  for (int64_t Bad : {int64_t(Entries), int64_t(1000000), int64_t(-2)}) {
+  {
     std::vector<uint8_t> P = Good;
-    patch<uint32_t>(P, TopRatedAt, static_cast<uint32_t>(Bad));
-    EXPECT_FALSE(Restores(P)) << "TopRated[0] = " << Bad;
+    P[VirginAt + TouchedLen] = 0xff;
+    EXPECT_FALSE(Restores(P)) << "a touched index holding 0xFF";
+  }
+  {
+    std::vector<uint8_t> P =
+        splice(Good, CoveredAt, encodeSet(Covered).size(),
+               encodeSet(withLast(Covered, NumEdges)));
+    EXPECT_FALSE(Restores(P)) << "covered-edge id at the edge count";
   }
 
-  // MapSet: find the widest entry's serialized MapSet + EdgeSet.
+  // MapSet and EdgeSet: find the widest entry's serialized pair.
   const QueueEntry *Widest = &A.corpus()[0];
   for (size_t I = 1; I < Entries; ++I)
     if (A.corpus()[I].MapSet.size() > Widest->MapSet.size())
       Widest = &A.corpus()[I];
   ASSERT_GE(Widest->MapSet.size(), 2u);
-  ByteWriter Needle;
-  Needle.vecU32(Widest->MapSet);
-  Needle.vecU32(Widest->EdgeSet);
-  std::vector<uint8_t> N = Needle.take();
-  auto It = std::search(Good.begin(), Good.end(), N.begin(), N.end());
+  ASSERT_FALSE(Widest->EdgeSet.empty());
+  const std::vector<uint8_t> MapSetBytes = encodeSet(Widest->MapSet);
+  const std::vector<uint8_t> EdgeSetBytes = encodeSet(Widest->EdgeSet);
+  std::vector<uint8_t> Needle = MapSetBytes;
+  Needle.insert(Needle.end(), EdgeSetBytes.begin(), EdgeSetBytes.end());
+  auto It = std::search(Good.begin() + CoveredAt, Good.end(), Needle.begin(),
+                        Needle.end());
   ASSERT_NE(It, Good.end());
-  const size_t MapSetAt = static_cast<size_t>(It - Good.begin()) + 8;
+  const size_t MapSetAt = static_cast<size_t>(It - Good.begin());
   {
-    std::vector<uint8_t> P = Good;
-    patch<uint32_t>(P, MapSetAt + 4 * (Widest->MapSet.size() - 1),
-                    static_cast<uint32_t>(MapSize));
+    std::vector<uint8_t> P =
+        splice(Good, MapSetAt, MapSetBytes.size(),
+               encodeSet(withLast(Widest->MapSet, MapSize)));
     EXPECT_FALSE(Restores(P)) << "MapSet index at the map size";
   }
   {
-    std::vector<uint8_t> P = Good;
-    patch<uint32_t>(P, MapSetAt + 4, Widest->MapSet[0]);
-    EXPECT_FALSE(Restores(P)) << "MapSet not strictly ascending";
+    std::vector<uint8_t> P =
+        splice(Good, MapSetAt + MapSetBytes.size(), EdgeSetBytes.size(),
+               encodeSet(withLast(Widest->EdgeSet, NumEdges)));
+    EXPECT_FALSE(Restores(P)) << "EdgeSet id at the edge count";
+  }
+}
+
+TEST(Snapshot, SizeFollowsCoverageNotTheMap) {
+  // A snapshot's cost model: nothing in it scales with the map. A one-seed
+  // fuzzer's snapshot stays small whatever the map size, so a future
+  // map-sized field fails here rather than as a benchmark regression.
+  for (uint32_t Log2 : {12u, 16u, 20u}) {
+    Harness H(BuggyLoop, instr::Feedback::Path, Log2);
+    FuzzerOptions FO;
+    FO.MapSizeLog2 = Log2;
+    Fuzzer F(H.Mod, H.Report, H.Shadow, FO);
+    F.addSeed({'B', 'B', 'U', 'x'});
+    ASSERT_EQ(F.corpus().size(), 1u);
+    std::vector<uint8_t> Blob = F.snapshot();
+    EXPECT_LT(Blob.size(), 2048u) << "map 2^" << Log2;
+    Fuzzer B(H.Mod, H.Report, H.Shadow, FO);
+    EXPECT_TRUE(B.restore(Blob)) << "map 2^" << Log2;
   }
 }
 

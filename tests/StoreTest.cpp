@@ -327,6 +327,55 @@ TEST(CampaignStore, RefusesForeignSubjectAndFingerprint) {
   EXPECT_TRUE(CampaignStore::open(Dir.sub("c"), "small", Knobs, &Err)) << Err;
 }
 
+TEST(CampaignStore, NamesTheVersionOfAnOlderStore) {
+  // A store written by a build with another snapshot version is not
+  // corrupt, and the diagnostics say so; its checkpoints are still
+  // quarantined like any checkpoint this build cannot restore.
+  TempDir Dir;
+  CampaignOptions Opts = baseOpts(FuzzerKind::Pcguard);
+  std::string Err;
+  {
+    auto Store = CampaignStore::open(Dir.sub("c"), "small", Opts, &Err);
+    ASSERT_TRUE(Store) << Err;
+    ASSERT_TRUE(Store->writeCheckpoint(fuzz::sealSnapshot(bytesOf("old"))));
+  }
+  auto Downgrade = [](const std::string &Path) {
+    std::vector<uint8_t> Raw = readAll(Path);
+    Raw[4] = static_cast<uint8_t>(fuzz::SnapshotVersion - 1);
+    return io::atomicWriteFile(Path, Raw);
+  };
+  const std::string Manifest = Dir.sub("c") + "/manifest.pfm";
+  std::string Ckpt;
+  for (const auto &E : fs::directory_iterator(Dir.sub("c")))
+    if (E.path().extension() == ".pfsnap")
+      Ckpt = E.path().string();
+  ASSERT_FALSE(Ckpt.empty());
+  ASSERT_TRUE(Downgrade(Ckpt));
+
+  const std::string Why =
+      "snapshot version " + std::to_string(fuzz::SnapshotVersion - 1) +
+      ", this build reads version " + std::to_string(fuzz::SnapshotVersion);
+  CampaignError CErr;
+  resumeCampaign(smallSubject(), Opts, readAll(Ckpt), &CErr);
+  EXPECT_TRUE(CErr.Failed);
+  EXPECT_EQ(CErr.Message, "unsupported checkpoint: " + Why);
+  {
+    auto Store = CampaignStore::open(Dir.sub("c"), "small", Opts, &Err);
+    ASSERT_TRUE(Store) << Err;
+    std::vector<uint8_t> Recovered;
+    EXPECT_FALSE(Store->recover(Recovered));
+    EXPECT_EQ(filesIn(Dir.sub("c") + "/quarantine"), 1u);
+  }
+
+  ASSERT_TRUE(Downgrade(Manifest));
+  EXPECT_FALSE(CampaignStore::open(Dir.sub("c"), "small", Opts, &Err));
+  EXPECT_EQ(Err, "store " + Dir.sub("c") + ": unsupported manifest: " + Why);
+  std::vector<StoreScanEntry> Scan = scanStoreRoot(Dir.path());
+  ASSERT_EQ(Scan.size(), 1u);
+  EXPECT_EQ(Scan[0].State, StoreState::Corrupt);
+  EXPECT_EQ(Scan[0].Error, "unsupported manifest: " + Why);
+}
+
 TEST(CampaignStore, OpenSweepsStrayTemporaries) {
   TempDir Dir;
   const std::string C = Dir.sub("c");

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Bytes.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
@@ -22,6 +23,96 @@
 using namespace pathfuzz;
 
 namespace {
+
+std::vector<uint8_t> varintBytes(uint64_t V) {
+  ByteWriter W;
+  W.varint(V);
+  return W.take();
+}
+
+TEST(Bytes, VarintRoundTripsEdgeValues) {
+  const std::pair<uint64_t, size_t> Cases[] = {
+      {0, 1},          {127, 1},           {128, 2},
+      {16383, 2},      {16384, 3},         {0xffffffffull, 5},
+      {~0ull >> 1, 9}, {~0ull, 10},
+  };
+  for (auto [V, Len] : Cases) {
+    std::vector<uint8_t> Buf = varintBytes(V);
+    EXPECT_EQ(Buf.size(), Len) << V;
+    ByteReader R(Buf);
+    EXPECT_EQ(R.varint(), V);
+    EXPECT_TRUE(R.done()) << V;
+  }
+}
+
+TEST(Bytes, VarintRejectsNonCanonicalAndTruncated) {
+  auto Rejects = [](std::vector<uint8_t> Buf) {
+    ByteReader R(Buf);
+    (void)R.varint();
+    return !R.ok();
+  };
+  // Eleven bytes: longer than any u64 needs.
+  std::vector<uint8_t> Eleven(10, 0x80);
+  Eleven.push_back(0x01);
+  EXPECT_TRUE(Rejects(Eleven));
+  // Ten bytes whose last group carries bits past 2^64.
+  std::vector<uint8_t> Overflow(9, 0xff);
+  Overflow.push_back(0x02);
+  EXPECT_TRUE(Rejects(Overflow));
+  // A redundant zero final group (0 written in two bytes).
+  EXPECT_TRUE(Rejects({0x80, 0x00}));
+  // Continuation bit set on the last byte, and an empty buffer.
+  EXPECT_TRUE(Rejects({0x80}));
+  EXPECT_TRUE(Rejects({}));
+}
+
+TEST(Bytes, AscendingSetRoundTrips) {
+  const std::vector<std::vector<uint32_t>> Sets = {
+      {},
+      {0},
+      {0xffffffffu},
+      {0, 1, 2, 3},
+      {0, 127, 128, 255, 16384, 0xfffffffeu, 0xffffffffu},
+  };
+  for (const std::vector<uint32_t> &Xs : Sets) {
+    ByteWriter W;
+    W.ascendingU32(Xs);
+    std::vector<uint8_t> Buf = W.take();
+    ByteReader R(Buf);
+    EXPECT_EQ(R.ascendingU32(uint64_t(1) << 32), Xs);
+    EXPECT_TRUE(R.done());
+  }
+  // A dense run costs one byte per element plus the count.
+  ByteWriter W;
+  W.ascendingU32({100, 101, 102, 103});
+  EXPECT_EQ(W.data().size(), 5u);
+}
+
+TEST(Bytes, AscendingSetRejectsMalformedInput) {
+  auto Encode = [](const std::vector<uint32_t> &Xs) {
+    ByteWriter W;
+    W.ascendingU32(Xs);
+    return W.take();
+  };
+  auto Rejects = [](const std::vector<uint8_t> &Buf, uint64_t Bound) {
+    ByteReader R(Buf);
+    std::vector<uint32_t> Out = R.ascendingU32(Bound);
+    return !R.ok() && Out.empty();
+  };
+  // An element at the bound, first or last; one below it is accepted.
+  EXPECT_TRUE(Rejects(Encode({16}), 16));
+  EXPECT_TRUE(Rejects(Encode({3, 9, 16}), 16));
+  EXPECT_FALSE(Rejects(Encode({3, 9, 15}), 16));
+  // A gap that would carry past 2^32.
+  EXPECT_TRUE(Rejects({2, 0xfe, 0xff, 0xff, 0xff, 0x0f, 0x01}, ~0ull));
+  // A count larger than the remaining bytes.
+  EXPECT_TRUE(Rejects({5, 0, 0, 0, 0}, 16));
+  EXPECT_TRUE(Rejects(varintBytes(~0ull), 16));
+  // Truncated in mid-element: the last gap's continuation byte is cut.
+  std::vector<uint8_t> Cut = Encode({1, 300});
+  Cut.pop_back();
+  EXPECT_TRUE(Rejects(Cut, 1000));
+}
 
 TEST(Rng, DeterministicForSeed) {
   Rng A(123), B(123), C(124);
