@@ -37,12 +37,16 @@
 #include "support/Table.h"
 #include "targets/Targets.h"
 #include "telemetry/Export.h"
+#include "telemetry/Report.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <type_traits>
 
 namespace pathfuzz {
 namespace bench {
@@ -53,6 +57,62 @@ inline uint64_t nowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Wall times from timeLegs: Micros[Leg][Rep].
+struct LegTimes {
+  std::vector<std::vector<uint64_t>> Micros;
+
+  /// Leg I's fastest rep.
+  uint64_t best(size_t I) const {
+    uint64_t Best = ~0ull;
+    for (uint64_t M : Micros[I])
+      Best = std::min(Best, M);
+    return Best;
+  }
+
+  /// Leg I's best-of-N rate: Ops operations in its fastest rep, per second.
+  double perSec(size_t I, uint64_t Ops) const {
+    const uint64_t Best = best(I);
+    return Best && Best != ~0ull ? double(Ops) * 1e6 / double(Best) : 0.0;
+  }
+
+  /// Median over reps of Micros[Num][Rep] / Micros[Den][Rep], skipping
+  /// reps where leg Den read 0 us. Each ratio pairs two legs of one rep,
+  /// so both saw the same machine conditions; best-of-N on each side
+  /// separately lets one lucky outlier flip the sign on a noisy box.
+  double medianRatio(size_t Num, size_t Den) const {
+    std::vector<double> Ratios;
+    for (size_t Rep = 0; Rep < Micros[Den].size(); ++Rep)
+      if (Micros[Den][Rep])
+        Ratios.push_back(double(Micros[Num][Rep]) / double(Micros[Den][Rep]));
+    return median(std::move(Ratios));
+  }
+};
+
+/// The timing method every A/B harness shares: Reps reps of N legs. Rep R
+/// runs the legs in the order R, R+1, ..., R+N-1 (mod N), so no leg
+/// always runs first (cold) or last (warm), and machine drift taxes every
+/// leg evenly. Leg(I, Rep) runs leg I under the clock and returns its
+/// result; once every leg of a rep has run, Check(Rep, Results) sees the
+/// rep's results, indexed by leg, off the clock. Callers warm their
+/// caches before calling.
+template <typename LegFn, typename CheckFn>
+LegTimes timeLegs(size_t N, uint32_t Reps, LegFn &&Leg, CheckFn &&Check) {
+  using Result = std::invoke_result_t<LegFn &, size_t, uint32_t>;
+  LegTimes T;
+  T.Micros.assign(N, std::vector<uint64_t>(Reps, 0));
+  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
+    std::vector<Result> Results(N);
+    for (size_t K = 0; K < N; ++K) {
+      const size_t I = (K + Rep) % N;
+      const uint64_t T0 = nowMicros();
+      Results[I] = Leg(I, Rep);
+      T.Micros[I][Rep] = nowMicros() - T0;
+    }
+    Check(Rep, Results);
+  }
+  return T;
 }
 
 /// The example subjects under examples/minilang/. PATHFUZZ_EXAMPLES_DIR
@@ -106,6 +166,26 @@ inline int writeBenchRecord(const std::string &OutPath,
   return ChecksHeld ? 0 : 1;
 }
 
+/// The report tool's bench record (telemetry::benchJsonFromJsonl) over
+/// the traced campaigns among Results, with a harness's own measurements
+/// spliced in before its "configs" array. Fields is a run of JSON
+/// members, each followed by a comma.
+inline std::string
+benchRecord(const std::string &Name,
+            std::initializer_list<const strategy::CampaignResult *> Results,
+            const std::string &Fields) {
+  std::vector<const telemetry::CampaignTrace *> Traces;
+  for (const strategy::CampaignResult *R : Results)
+    if (R->Trace)
+      Traces.push_back(R->Trace.get());
+  std::string Doc =
+      telemetry::benchJsonFromJsonl(telemetry::mergedJsonl(Traces), Name);
+  size_t Pos = Doc.find("\"configs\":");
+  if (Pos != std::string::npos)
+    Doc.insert(Pos, Fields);
+  return Doc;
+}
+
 struct BenchConfig {
   uint32_t Runs;
   uint64_t Execs;
@@ -133,6 +213,15 @@ struct BenchConfig {
     Opts.Seed = Seed;
     Opts.Trace = Trace;
     return Opts;
+  }
+
+  /// The subject the single-subject timing harnesses campaign on: jhead
+  /// when REPRO_SUBJECTS selects it, else the first selected subject.
+  const strategy::Subject &timingSubject() const {
+    for (const strategy::Subject &S : Subjects)
+      if (S.Name == "jhead")
+        return S;
+    return Subjects.front();
   }
 
   void printHeader(const char *What) const {

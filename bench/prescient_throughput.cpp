@@ -53,9 +53,8 @@ struct SubjectMeasurement {
   bool Deterministic = false;
 };
 
-/// Paired timing legs on a shared build, alternating leg order per rep
-/// the way selective_throughput does, plus the byte-identity check on
-/// two prescient runs.
+/// Pcguard (leg 0) against prescient (leg 1) on rotating legs over a
+/// shared build, plus the byte-identity check across every prescient rep.
 void timeSubject(SubjectMeasurement &M, SubjectBuild &SB,
                  const CampaignOptions &Base, uint64_t Execs, uint32_t Reps) {
   CampaignOptions Pc = Base;
@@ -67,37 +66,21 @@ void timeSubject(SubjectMeasurement &M, SubjectBuild &SB,
   // Warm the build (image + reachability summary) before timing.
   (void)runCampaign(SB, Pre);
 
-  uint64_t PcMin = ~0ull, PreMin = ~0ull;
-  std::vector<double> PairOverhead;
   std::vector<uint8_t> FirstPrescient;
   M.Deterministic = true;
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    const bool PreFirst = (Rep & 1) != 0;
-    uint64_t UPc = 0, UPre = 0;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunPre = PreFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(SB, RunPre ? Pre : Pc);
-      uint64_t Dt = nowMicros() - T0;
-      (RunPre ? UPre : UPc) = Dt;
-      if (RunPre) {
-        std::vector<uint8_t> Bytes = serializeCampaignResult(R);
-        if (FirstPrescient.empty())
+  const LegTimes T = timeLegs(
+      2, Reps,
+      [&](size_t Leg, uint32_t) { return runCampaign(SB, Leg ? Pre : Pc); },
+      [&](uint32_t Rep, const std::vector<CampaignResult> &R) {
+        std::vector<uint8_t> Bytes = serializeCampaignResult(R[1]);
+        if (Rep == 0)
           FirstPrescient = std::move(Bytes);
         else
           M.Deterministic &= Bytes == FirstPrescient;
-      }
-    }
-    PcMin = std::min(PcMin, UPc);
-    PreMin = std::min(PreMin, UPre);
-    if (UPc)
-      PairOverhead.push_back(double(UPre) / double(UPc));
-  }
-  M.OverheadMedian = median(PairOverhead);
-  if (PcMin)
-    M.PcguardEps = double(Execs) * 1e6 / double(PcMin);
-  if (PreMin)
-    M.PrescientEps = double(Execs) * 1e6 / double(PreMin);
+      });
+  M.OverheadMedian = T.medianRatio(1, 0);
+  M.PcguardEps = T.perSec(0, Execs);
+  M.PrescientEps = T.perSec(1, Execs);
 }
 
 } // namespace

@@ -8,8 +8,8 @@
 //
 //  - end-to-end path campaigns under the default engine on every example
 //    subject (examples/minilang/*.ml) and on the paper subjects
-//    (REPRO_SUBJECTS, default all 18), alternating paired selective-on /
-//    selective-off legs on a shared build, best-of-N execs/sec and the
+//    (REPRO_SUBJECTS, default all 18), rotating selective-off /
+//    selective-on legs on a shared build, best-of-N execs/sec and the
 //    median of per-pair speedups per subject;
 //  - the serializeCampaignResult byte-identity check on every pair — the
 //    mode's defining contract;
@@ -75,33 +75,19 @@ SubjectMeasurement measureSubject(const Subject &S, const CampaignOptions &Base,
   // Warm both builds (full + cheap image) before timing anything.
   (void)runCampaign(*SB, On);
 
-  uint64_t OffMin = ~0ull, OnMin = ~0ull;
-  std::vector<double> PairSpeedup;
+  // Off (leg 0) against on (leg 1) on rotating legs.
   M.Identical = true;
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    const bool OnFirst = (Rep & 1) != 0;
-    uint64_t UOff = 0, UOn = 0;
-    std::vector<uint8_t> BytesOff, BytesOn;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunOn = OnFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*SB, RunOn ? On : Off);
-      uint64_t Dt = nowMicros() - T0;
-      (RunOn ? UOn : UOff) = Dt;
-      (RunOn ? BytesOn : BytesOff) = serializeCampaignResult(R);
-    }
-    OffMin = std::min(OffMin, UOff);
-    OnMin = std::min(OnMin, UOn);
-    if (UOn)
-      PairSpeedup.push_back(double(UOff) / double(UOn));
-    M.Identical &= BytesOff == BytesOn;
-  }
-  M.SpeedupMedian = median(PairSpeedup);
-  M.SpeedupBest = OnMin ? double(OffMin) / double(OnMin) : 0.0;
-  if (OffMin)
-    M.OffEps = double(Execs) * 1e6 / double(OffMin);
-  if (OnMin)
-    M.OnEps = double(Execs) * 1e6 / double(OnMin);
+  const LegTimes T = timeLegs(
+      2, Reps,
+      [&](size_t Leg, uint32_t) { return runCampaign(*SB, Leg ? On : Off); },
+      [&](uint32_t, const std::vector<CampaignResult> &R) {
+        M.Identical &=
+            serializeCampaignResult(R[0]) == serializeCampaignResult(R[1]);
+      });
+  M.SpeedupMedian = T.medianRatio(0, 1);
+  M.SpeedupBest = T.best(1) ? double(T.best(0)) / double(T.best(1)) : 0.0;
+  M.OffEps = T.perSec(0, Execs);
+  M.OnEps = T.perSec(1, Execs);
 
   // One traced selective campaign for the vm.selective.* counters.
   CampaignOptions Traced = On;

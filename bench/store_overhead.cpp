@@ -21,7 +21,6 @@
 
 #include "strategy/BuildCache.h"
 #include "strategy/Store.h"
-#include "telemetry/Report.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -34,20 +33,11 @@ using namespace pathfuzz::bench;
 using namespace pathfuzz::strategy;
 namespace fs = std::filesystem;
 
-namespace {
-
-} // namespace
-
 int main() {
   BenchConfig C = BenchConfig::fromEnv();
   C.printHeader("Durable-store overhead: stored vs in-memory campaigns");
 
-  const Subject *S = nullptr;
-  for (const Subject &Sub : C.Subjects)
-    if (Sub.Name == "jhead")
-      S = &Sub;
-  if (!S)
-    S = &C.Subjects.front();
+  const Subject *S = &C.timingSubject();
 
   BuildCache Cache;
   std::shared_ptr<SubjectBuild> B = Cache.get(*S);
@@ -68,46 +58,29 @@ int main() {
   // eight times per run.
   const uint64_t Interval = std::max<uint64_t>(1, C.Execs / 8);
 
+  // In-memory (leg 0) against stored (leg 1) on rotating legs. Each
+  // stored rep gets a fresh directory, so it pays the full fresh-start
+  // cost, never a short-circuit through a done manifest.
   const uint32_t Reps = std::max<uint32_t>(5, C.Runs);
-  uint64_t MemMin = ~0ull, StoredMin = ~0ull;
-  std::vector<double> PairPct;
-  std::vector<uint8_t> MemBytes, StoredBytes;
-  (void)runCampaign(*B, InMemory); // warm caches before timing anything
+  std::vector<CampaignOptions> Stored(Reps, InMemory);
   for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    // Fresh directory per stored rep: each run pays the full fresh-start
-    // cost, never a short-circuit through a done manifest.
-    CampaignOptions Stored = InMemory;
-    Stored.StoreDir = Root + "/rep-" + std::to_string(Rep);
-    Stored.CheckpointInterval = Interval;
-    // Alternate order within each pair so machine drift taxes both sides
-    // evenly (same scheme as telemetry_overhead).
-    const bool StoredFirst = (Rep & 1) != 0;
-    uint64_t M = 0, D = 0;
-    CampaignResult RM, RD;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunStored = StoredFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*B, RunStored ? Stored : InMemory);
-      uint64_t Dt = nowMicros() - T0;
-      if (RunStored) {
-        D = Dt;
-        RD = std::move(R);
-      } else {
-        M = Dt;
-        RM = std::move(R);
-      }
-    }
-    MemMin = std::min(MemMin, M);
-    StoredMin = std::min(StoredMin, D);
-    if (M)
-      PairPct.push_back(100.0 * (double(D) - double(M)) / double(M));
-    if (Rep == 0) {
-      MemBytes = serializeCampaignResult(RM);
-      StoredBytes = serializeCampaignResult(RD);
-    }
+    Stored[Rep].StoreDir = Root + "/rep-" + std::to_string(Rep);
+    Stored[Rep].CheckpointInterval = Interval;
   }
-  const bool Identical = MemBytes == StoredBytes;
-  const double OverheadPct = median(PairPct);
+  bool Identical = true;
+  std::vector<uint8_t> MemBytes;
+  (void)runCampaign(*B, InMemory); // warm caches before timing anything
+  const LegTimes T = timeLegs(
+      2, Reps,
+      [&](size_t Leg, uint32_t Rep) {
+        return runCampaign(*B, Leg ? Stored[Rep] : InMemory);
+      },
+      [&](uint32_t, const std::vector<CampaignResult> &R) {
+        MemBytes = serializeCampaignResult(R[0]);
+        Identical &= MemBytes == serializeCampaignResult(R[1]);
+      });
+  const uint64_t MemMin = T.best(0), StoredMin = T.best(1);
+  const double OverheadPct = 100.0 * (T.medianRatio(1, 0) - 1.0);
 
   // Checkpoint volume, from one traced stored run in its own directory.
   CampaignOptions Traced = InMemory;
@@ -197,12 +170,6 @@ int main() {
                        : 0.0);
   std::printf("stored == in-memory results: %s\n", Identical ? "yes" : "NO");
 
-  std::vector<const telemetry::CampaignTrace *> Traces;
-  if (TracedR.Trace)
-    Traces.push_back(TracedR.Trace.get());
-  std::string Jsonl = telemetry::mergedJsonl(Traces);
-  std::string Bench = telemetry::benchJsonFromJsonl(Jsonl, "store_overhead");
-
   std::string SweepJson = "\"interval_sweep\":[";
   for (size_t I = 0; I < Sweep.size(); ++I) {
     char Pt[96];
@@ -227,10 +194,7 @@ int main() {
                 S->Name.c_str(), C.Execs, Reps, Interval, MemMin, StoredMin,
                 OverheadPct, CkptWritten, CkptBytes, ResumeMicros,
                 Identical ? "true" : "false");
-  std::string Doc = Bench;
-  size_t Pos = Doc.find("\"configs\":");
-  if (Pos != std::string::npos)
-    Doc.insert(Pos, SweepJson + Extra);
+  std::string Doc = benchRecord("store_overhead", {&TracedR}, SweepJson + Extra);
 
   fs::remove_all(Root, Ec);
 

@@ -19,7 +19,6 @@
 #include "BenchCommon.h"
 
 #include "strategy/BuildCache.h"
-#include "telemetry/Report.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -49,12 +48,7 @@ int main() {
   BenchConfig C = BenchConfig::fromEnv();
   C.printHeader("Telemetry overhead: traced vs untraced campaigns");
 
-  const Subject *S = nullptr;
-  for (const Subject &Sub : C.Subjects)
-    if (Sub.Name == "jhead")
-      S = &Sub;
-  if (!S)
-    S = &C.Subjects.front();
+  const Subject *S = &C.timingSubject();
 
   // Per-event micro cost first; the disabled case is the only cost an
   // untraced campaign ever sees.
@@ -64,12 +58,10 @@ int main() {
   telemetry::InstanceTrace MicroTrace(RingCfg);
   const double EnabledNs = traceEventNs(&MicroTrace, 1u << 24);
 
-  // End-to-end: same pre-compiled build, alternating untraced / traced
-  // reps. Each adjacent pair sees the same machine conditions, so the
-  // reported overhead is the MEDIAN of the per-pair ratios — best-of-N
-  // on each side separately lets a single lucky outlier flip the sign
-  // on a noisy box. Tracing must not perturb the campaign, so the two
-  // serialized results must compare equal.
+  // End-to-end: same pre-compiled build, untraced (leg 0) and traced
+  // (leg 1) on rotating legs. The reported overhead is the median of the
+  // per-rep ratios. Tracing must not perturb the campaign, so the two
+  // serialized results must compare equal on every rep.
   BuildCache Cache;
   std::shared_ptr<SubjectBuild> B = Cache.get(*S);
 
@@ -80,58 +72,28 @@ int main() {
   Traced.Trace.Enabled = true;
 
   const uint32_t Reps = std::max<uint32_t>(5, C.Runs);
-  uint64_t UntracedMin = ~0ull, TracedMin = ~0ull;
-  std::vector<double> PairPct;
-  std::vector<uint8_t> UntracedBytes, TracedBytes;
+  bool Identical = true;
   CampaignResult TracedR;
   (void)runCampaign(*B, Untraced); // warm caches before timing anything
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    // Swap which config runs first each rep: if the machine slows down
-    // monotonically through a pair (thermal / scheduler drift), a fixed
-    // order would tax whichever side always runs second.
-    const bool TracedFirst = (Rep & 1) != 0;
-    uint64_t U = 0, T = 0;
-    CampaignResult RU, RT;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunTraced = TracedFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*B, RunTraced ? Traced : Untraced);
-      uint64_t Dt = nowMicros() - T0;
-      if (RunTraced) {
-        T = Dt;
-        RT = std::move(R);
-      } else {
-        U = Dt;
-        RU = std::move(R);
-      }
-    }
-    UntracedMin = std::min(UntracedMin, U);
-    TracedMin = std::min(TracedMin, T);
-    if (U)
-      PairPct.push_back(100.0 * (double(T) - double(U)) / double(U));
-
-    if (Rep == 0) {
-      UntracedBytes = serializeCampaignResult(RU);
-      TracedBytes = serializeCampaignResult(RT);
-      TracedR = std::move(RT);
-    }
-  }
-  const bool Identical = UntracedBytes == TracedBytes;
-  const double OverheadPct = median(PairPct);
+  const LegTimes T = timeLegs(
+      2, Reps,
+      [&](size_t Leg, uint32_t) {
+        return runCampaign(*B, Leg ? Traced : Untraced);
+      },
+      [&](uint32_t Rep, std::vector<CampaignResult> &R) {
+        Identical &=
+            serializeCampaignResult(R[0]) == serializeCampaignResult(R[1]);
+        if (Rep == 0)
+          TracedR = std::move(R[1]);
+      });
+  const uint64_t UntracedMin = T.best(0), TracedMin = T.best(1);
+  const double OverheadPct = 100.0 * (T.medianRatio(1, 0) - 1.0);
 
   // One traced pcguard campaign joins the record so the configs table
   // has both feedback families.
   CampaignOptions Pcguard = Traced;
   Pcguard.Kind = FuzzerKind::Pcguard;
   CampaignResult PcR = runCampaign(*B, Pcguard);
-
-  std::vector<const telemetry::CampaignTrace *> Traces;
-  if (TracedR.Trace)
-    Traces.push_back(TracedR.Trace.get());
-  if (PcR.Trace)
-    Traces.push_back(PcR.Trace.get());
-  std::string Jsonl = telemetry::mergedJsonl(Traces);
-  std::string Bench = telemetry::benchJsonFromJsonl(Jsonl, "telemetry_overhead");
 
   std::printf("subject: %s (%" PRIu64 " execs, %u paired reps)\n",
               S->Name.c_str(), C.Execs, Reps);
@@ -142,10 +104,8 @@ int main() {
   std::printf("overhead, median of paired reps: %+.2f%%\n", OverheadPct);
   std::printf("traced == untraced results: %s\n", Identical ? "yes" : "NO");
 
-  // Splice the measurements into the report tool's bench record, right
-  // before its "configs" array.
-  char Extra[512];
-  std::snprintf(Extra, sizeof(Extra),
+  char Fields[512];
+  std::snprintf(Fields, sizeof(Fields),
                 "\"subject\":\"%s\",\"execs\":%" PRIu64 ",\"reps\":%u,"
                 "\"trace_event_disabled_ns\":%.3f,"
                 "\"trace_event_enabled_ns\":%.3f,"
@@ -155,10 +115,7 @@ int main() {
                 S->Name.c_str(), C.Execs, Reps, DisabledNs, EnabledNs,
                 UntracedMin, TracedMin, OverheadPct,
                 Identical ? "true" : "false");
-  std::string Doc = Bench;
-  size_t Pos = Doc.find("\"configs\":");
-  if (Pos != std::string::npos)
-    Doc.insert(Pos, Extra);
+  std::string Doc = benchRecord("telemetry_overhead", {&TracedR, &PcR}, Fields);
 
   return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_telemetry.json"),
                           Doc, Identical);

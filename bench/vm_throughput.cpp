@@ -34,7 +34,6 @@
 
 #include "cov/CoverageMap.h"
 #include "strategy/BuildCache.h"
-#include "telemetry/Report.h"
 #include "vm/Image.h"
 #include "vm/jit/Jit.h"
 
@@ -145,8 +144,8 @@ struct RawMeasurement {
 /// engine. The identity pass resets the coverage map per exec and
 /// compares every observable field against engine 0; the timed legs skip
 /// the reset (a constant memset cost identical for all engines) so they
-/// measure the executor itself. Leg order rotates across reps so no
-/// engine systematically runs first (cold) or last (warm).
+/// measure the executor itself, and every timed rep checks that each
+/// engine's step total matches engine 0's.
 RawMeasurement measureRaw(const Subject &S, const InstrumentedBuild &IB,
                           const SubjectBuild &SB,
                           const std::vector<EngineSpec> &Engines,
@@ -176,33 +175,27 @@ RawMeasurement measureRaw(const Subject &S, const InstrumentedBuild &IB,
   }
   M.StepsPerExec = TotalSteps / Inputs.size();
 
-  std::vector<uint64_t> MinMicros(N, ~0ull);
-  std::vector<std::vector<double>> PairSpeedup(N);
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    std::vector<uint64_t> Micros(N, 0);
-    for (size_t Leg = 0; Leg < N; ++Leg) {
-      const size_t I = (Leg + Rep) % N; // rotate who goes first
-      uint64_t T0 = nowMicros();
-      for (const fuzz::Input &In : Inputs)
-        (void)Eng[I].exec(IB, In, /*LogCmps=*/false, false);
-      Micros[I] = nowMicros() - T0;
-    }
-    for (size_t I = 0; I < N; ++I) {
-      MinMicros[I] = std::min(MinMicros[I], Micros[I]);
-      if (I && Micros[I])
-        PairSpeedup[I].push_back(double(Micros[0]) / double(Micros[I]));
-    }
-  }
+  const LegTimes T = timeLegs(
+      N, Reps,
+      [&](size_t I, uint32_t) {
+        uint64_t Steps = 0;
+        for (const fuzz::Input &In : Inputs)
+          Steps += Eng[I].exec(IB, In, /*LogCmps=*/false, false).Steps;
+        return Steps;
+      },
+      [&](uint32_t, const std::vector<uint64_t> &Steps) {
+        for (size_t I = 1; I < N; ++I)
+          M.Per[I].Identical &= Steps[I] == Steps[0];
+      });
   for (size_t I = 0; I < N; ++I) {
     EngineRawStats &St = M.Per[I];
+    const uint64_t Best = T.best(I);
     if (TotalSteps)
-      St.NsPerStep = double(MinMicros[I]) * 1000.0 / double(TotalSteps);
-    if (MinMicros[I])
-      St.Eps = double(Inputs.size()) * 1e6 / double(MinMicros[I]);
+      St.NsPerStep = double(Best) * 1000.0 / double(TotalSteps);
+    St.Eps = T.perSec(I, Inputs.size());
     if (I) {
-      St.SpeedupMedian = median(PairSpeedup[I]);
-      St.SpeedupBest =
-          MinMicros[I] ? double(MinMicros[0]) / double(MinMicros[I]) : 0.0;
+      St.SpeedupMedian = T.medianRatio(0, I);
+      St.SpeedupBest = Best ? double(T.best(0)) / double(Best) : 0.0;
     }
   }
   return M;
@@ -265,12 +258,7 @@ int main() {
   // dilutes the raw-executor win; both numbers are reported).
   //===--------------------------------------------------------------------===//
 
-  const Subject *S = nullptr;
-  for (const Subject &Sub : C.Subjects)
-    if (Sub.Name == "jhead")
-      S = &Sub;
-  if (!S)
-    S = &C.Subjects.front();
+  const Subject *S = &C.timingSubject();
 
   BuildCache Cache;
   std::shared_ptr<SubjectBuild> SB = Cache.get(*S);
@@ -285,33 +273,20 @@ int main() {
 
   const uint32_t Reps = std::max<uint32_t>(3, C.Runs);
   std::vector<EngineCampaignStats> Camp(N);
-  std::vector<std::vector<double>> CampPair(N);
   (void)runCampaign(*SB, Opts.back()); // warm caches before timing anything
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    std::vector<uint64_t> Micros(N, 0);
-    std::vector<std::vector<uint8_t>> Bytes(N);
-    for (size_t Leg = 0; Leg < N; ++Leg) {
-      const size_t I = (Leg + Rep) % N;
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*SB, Opts[I]);
-      Micros[I] = nowMicros() - T0;
-      Bytes[I] = serializeCampaignResult(R);
-    }
-    for (size_t I = 0; I < N; ++I) {
-      Camp[I].MinMicros = std::min(Camp[I].MinMicros, Micros[I]);
-      if (I) {
-        if (Micros[I])
-          CampPair[I].push_back(double(Micros[0]) / double(Micros[I]));
-        Camp[I].Identical &= Bytes[I] == Bytes[0];
-      }
-    }
-  }
+  const LegTimes T = timeLegs(
+      N, Reps, [&](size_t I, uint32_t) { return runCampaign(*SB, Opts[I]); },
+      [&](uint32_t, const std::vector<CampaignResult> &R) {
+        const std::vector<uint8_t> Base = serializeCampaignResult(R[0]);
+        for (size_t I = 1; I < N; ++I)
+          Camp[I].Identical &= serializeCampaignResult(R[I]) == Base;
+      });
   bool CampaignIdentical = true;
   for (size_t I = 0; I < N; ++I) {
-    if (Camp[I].MinMicros && Camp[I].MinMicros != ~0ull)
-      Camp[I].Eps = double(C.Execs) * 1e6 / double(Camp[I].MinMicros);
+    Camp[I].MinMicros = T.best(I);
+    Camp[I].Eps = T.perSec(I, C.Execs);
     if (I) {
-      Camp[I].SpeedupMedian = median(CampPair[I]);
+      Camp[I].SpeedupMedian = T.medianRatio(0, I);
       CampaignIdentical &= Camp[I].Identical;
     }
   }
@@ -392,14 +367,6 @@ int main() {
   std::printf("all engines == interpreter results: %s\n",
               Identical ? "yes" : "NO");
 
-  std::vector<const telemetry::CampaignTrace *> Traces;
-  if (TracedR.Trace)
-    Traces.push_back(TracedR.Trace.get());
-  std::string Jsonl = telemetry::mergedJsonl(Traces);
-  std::string Bench = telemetry::benchJsonFromJsonl(Jsonl, "vm_throughput");
-
-  // Splice the measurements into the report tool's bench record, right
-  // before its "configs" array.
   std::string Extra;
   {
     char Buf[512];
@@ -467,11 +434,7 @@ int main() {
         JitExecs, JitBailouts, DirtyResetBytes, Identical ? "true" : "false");
     Extra += Buf;
   }
-  std::string Doc = Bench;
-  size_t Pos = Doc.find("\"configs\":");
-  if (Pos != std::string::npos)
-    Doc.insert(Pos, Extra);
-
   return writeBenchRecord(envStr("PATHFUZZ_BENCH_OUT", "BENCH_vm.json"),
-                          Doc, Identical);
+                          benchRecord("vm_throughput", {&TracedR}, Extra),
+                          Identical);
 }

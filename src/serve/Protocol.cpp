@@ -51,6 +51,14 @@ bool fail(std::string &Err, const char *Message) {
   return false;
 }
 
+/// An optional u64 field: absent leaves Out at its default; present but
+/// not a u64 (a string, a negative, past UINT64_MAX) is an error, never a
+/// silent default.
+bool optionalU64(const std::string &Line, const char *Key, uint64_t &Out) {
+  return telemetry::jsonU64(Line, Key, Out) ||
+         Line.find("\"" + std::string(Key) + "\":") == std::string::npos;
+}
+
 /// Strip whitespace outside string literals. The telemetry extractors
 /// backing this parser expect machine-compact `"key":value` JSONL;
 /// clients legitimately send `"key": value`, so requests are canonicalized
@@ -137,12 +145,15 @@ bool parseRequest(const std::string &RawLine, Request &R, std::string &Err) {
     if (!telemetry::jsonStr(Line, "subject", R.Subject))
       return fail(Err, "submit requires \"subject\"");
     telemetry::jsonStr(Line, "fuzzer", R.Fuzzer); // default pcguard
-    telemetry::jsonU64(Line, "seed", R.Seed);
-    telemetry::jsonU64(Line, "budget", R.Budget);
+    if (!optionalU64(Line, "seed", R.Seed))
+      return fail(Err, "\"seed\" must be an unsigned 64-bit integer");
+    if (!optionalU64(Line, "budget", R.Budget))
+      return fail(Err, "\"budget\" must be an unsigned 64-bit integer");
     if (R.Budget == 0)
       return fail(Err, "budget must be positive");
     uint64_t Trace = 1;
-    telemetry::jsonU64(Line, "trace", Trace);
+    if (!optionalU64(Line, "trace", Trace))
+      return fail(Err, "\"trace\" must be an unsigned 64-bit integer");
     R.TraceWanted = Trace != 0;
     return true;
   }
@@ -174,46 +185,13 @@ bool parseRequest(const std::string &RawLine, Request &R, std::string &Err) {
   return fail(Err, "unknown verb");
 }
 
-std::string jsonEscape(const std::string &Raw) {
-  std::string Out;
-  Out.reserve(Raw.size() + 8);
-  for (char C : Raw) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 ReplyBuilder &ReplyBuilder::field(const char *Key, const std::string &Value) {
   if (!Body.empty())
     Body += ',';
   Body += '"';
   Body += Key;
   Body += "\":\"";
-  Body += jsonEscape(Value);
+  Body += telemetry::jsonEscape(Value);
   Body += '"';
   return *this;
 }

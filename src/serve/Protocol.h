@@ -84,7 +84,9 @@ struct Request {
 };
 
 /// Parse one request line. False with Err set on malformed JSON, unknown
-/// verbs, missing/invalid required fields, or an invalid tenant name.
+/// verbs, missing/invalid required fields, an optional numeric field
+/// (seed, budget, trace) that is present but not a u64, or an invalid
+/// tenant name.
 bool parseRequest(const std::string &Line, Request &R, std::string &Err);
 
 /// Tenant names become path components of per-campaign store directories
@@ -104,12 +106,9 @@ std::string campaignId(const std::string &Tenant, const std::string &Subject,
 /// "--" separator or an invalid tenant.
 bool tenantOfId(const std::string &Id, std::string &Tenant);
 
-/// Minimal JSON string escaping for reply fields (quotes, backslashes,
-/// control characters) — the inverse of telemetry::jsonStr's unescape.
-std::string jsonEscape(const std::string &Raw);
-
 /// One-object reply line assembler with deterministic field order (the
-/// order of the field() calls).
+/// order of the field() calls). String values go through
+/// telemetry::jsonEscape, so telemetry::jsonStr reads them back verbatim.
 class ReplyBuilder {
 public:
   ReplyBuilder &field(const char *Key, const std::string &Value);

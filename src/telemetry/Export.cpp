@@ -8,6 +8,7 @@
 
 #include "support/FaultInjection.h"
 #include "support/Io.h"
+#include "telemetry/Report.h"
 
 #include <algorithm>
 #include <sstream>
@@ -16,39 +17,6 @@ namespace pathfuzz {
 namespace telemetry {
 
 namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 /// The shared identity prefix every line carries, so each JSONL line is
 /// independently attributable after merging.

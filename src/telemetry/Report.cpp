@@ -8,6 +8,7 @@
 
 #include "telemetry/Export.h"
 
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -24,6 +25,20 @@ size_t findValue(const std::string &Line, const std::string &Key) {
   std::string Needle = "\"" + Key + "\":";
   size_t At = Line.find(Needle);
   return At == std::string::npos ? std::string::npos : At + Needle.size();
+}
+
+/// Append code point Cp (at most 0xFFFF, from one \uXXXX escape) as UTF-8.
+void appendUtf8(std::string &Out, uint32_t Cp) {
+  if (Cp < 0x80) {
+    Out += static_cast<char>(Cp);
+  } else if (Cp < 0x800) {
+    Out += static_cast<char>(0xC0 | Cp >> 6);
+    Out += static_cast<char>(0x80 | (Cp & 0x3F));
+  } else {
+    Out += static_cast<char>(0xE0 | Cp >> 12);
+    Out += static_cast<char>(0x80 | (Cp >> 6 & 0x3F));
+    Out += static_cast<char>(0x80 | (Cp & 0x3F));
+  }
 }
 
 struct CampaignKey {
@@ -101,7 +116,10 @@ bool jsonU64(const std::string &Line, const std::string &Key, uint64_t &Out) {
   uint64_t V = 0;
   size_t Digits = 0;
   while (At < Line.size() && Line[At] >= '0' && Line[At] <= '9') {
-    V = V * 10 + (Line[At] - '0');
+    const uint64_t D = static_cast<uint64_t>(Line[At] - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false; // past UINT64_MAX
+    V = V * 10 + D;
     ++At;
     ++Digits;
   }
@@ -132,6 +150,21 @@ bool jsonStr(const std::string &Line, const std::string &Key,
       case 'r':
         V += '\r';
         break;
+      case 'u': {
+        uint32_t Cp = 0;
+        for (int K = 0; K < 4; ++K) {
+          const char H = ++At < Line.size() ? Line[At] : '\0';
+          const int D = H >= '0' && H <= '9'   ? H - '0'
+                        : H >= 'a' && H <= 'f' ? H - 'a' + 10
+                        : H >= 'A' && H <= 'F' ? H - 'A' + 10
+                                               : -1;
+          if (D < 0)
+            return false; // malformed \u escape
+          Cp = Cp << 4 | static_cast<uint32_t>(D);
+        }
+        appendUtf8(V, Cp);
+        break;
+      }
       default:
         V += E; // \" and \\ (and anything else, verbatim)
       }
@@ -144,6 +177,39 @@ bool jsonStr(const std::string &Line, const std::string &Key,
     return false; // unterminated string
   Out = V;
   return true;
+}
+
+std::string jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size());
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
 }
 
 std::string queueCsvFromJsonl(const std::string &Jsonl) {

@@ -13,8 +13,8 @@
 // without spawning a process.
 //
 // The parser is deliberately tiny: our exporter writes flat, one-object-
-// per-line JSON with unique keys, so two key extractors (string, u64) are
-// the whole grammar. It is not a general JSON parser and does not try to
+// per-line JSON with unique keys, so two key extractors (string, u64) and
+// the string escaper they invert are the whole grammar. It is not a general JSON parser and does not try to
 // be.
 //
 //===----------------------------------------------------------------------===//
@@ -29,12 +29,18 @@ namespace pathfuzz {
 namespace telemetry {
 
 /// Extract an unsigned field from one flat JSON line. False when the key
-/// is absent or not a number.
+/// is absent, not a number, or past UINT64_MAX.
 bool jsonU64(const std::string &Line, const std::string &Key, uint64_t &Out);
 
-/// Extract a string field (unescaping \" \\ \n \t \r).
+/// Extract a string field (unescaping \" \\ \n \t \r and \uXXXX, the
+/// latter to UTF-8). False when the key is absent, the value is not a
+/// string, or an escape is malformed.
 bool jsonStr(const std::string &Line, const std::string &Key,
              std::string &Out);
+
+/// Escape S for a JSON string value: quotes, backslashes and control
+/// bytes (\n \t \r by name, the rest as \u00XX). jsonStr inverts it.
+std::string jsonEscape(const std::string &S);
 
 /// Queue-trajectory CSV ("subject,fuzzer,seed,execs,queue") rebuilt from
 /// sample lines. Byte-identical to Export's queueTrajectoryCsv over the

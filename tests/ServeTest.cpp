@@ -169,6 +169,13 @@ TEST(ServeProtocol, SubmitTraceOptOutAndDefaults) {
   EXPECT_FALSE(R.TraceWanted);
   EXPECT_EQ(R.Seed, 1u);
   EXPECT_EQ(R.Budget, 20000u);
+
+  // UINT64_MAX itself is a valid seed; one past it is rejected (see
+  // RejectsMalformedRequests).
+  ASSERT_TRUE(parseRequest("{\"verb\":\"submit\",\"tenant\":\"t\","
+                           "\"subject\":\"s\",\"seed\":18446744073709551615}",
+                           R, Err));
+  EXPECT_EQ(R.Seed, UINT64_MAX);
 }
 
 TEST(ServeProtocol, SeriesParsesBothKinds) {
@@ -198,6 +205,16 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
       "{\"verb\":\"results\"}",                               // no id
       "{\"verb\":\"series\",\"id\":\"x\"}",                   // no series kind
       "{\"verb\":\"series\",\"id\":\"x\",\"series\":\"pie\"}",
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"budget\":18446744073709551617}",                     // wraps to 1
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"seed\":18446744073709551616}",                       // wraps to 0
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"seed\":\"7\"}",                                      // string seed
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"budget\":\"100\"}",                                  // string budget
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"trace\":-1}",                                        // negative
   };
   for (const char *Line : Bad) {
     Request R;
@@ -247,7 +264,7 @@ TEST(ServeProtocol, HexCodecRoundTrip) {
 TEST(ServeProtocol, ReplyBuilderEscapeRoundTrip) {
   // What ReplyBuilder emits, the telemetry extractors (the other half of
   // the protocol) must read back verbatim.
-  const std::string Nasty = "a\"b\\c\nd\te\rf";
+  const std::string Nasty = "a\"b\\c\nd\te\rf\x01\x1f";
   std::string Line = ReplyBuilder()
                          .boolean("ok", true)
                          .field("msg", Nasty)
