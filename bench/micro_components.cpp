@@ -56,13 +56,35 @@ void BM_Havoc(benchmark::State &State) {
   fuzz::Mutator Mut(R, MC);
   std::vector<int64_t> Dict = {0x2a, 255, 1024};
   fuzz::Input Base(128, 'x');
+  // One reused buffer with MaxLen capacity, as Fuzzer::run mutates.
+  fuzz::Input Data;
+  Data.reserve(MC.MaxLen);
   for (auto _ : State) {
-    fuzz::Input Data = Base;
+    Data.assign(Base.begin(), Base.end());
     Mut.havoc(Data, Dict);
     benchmark::DoNotOptimize(Data.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Havoc);
+
+void BM_Splice(benchmark::State &State) {
+  Rng R(5);
+  fuzz::MutatorConfig MC;
+  fuzz::Mutator Mut(R, MC);
+  std::vector<int64_t> Dict = {0x2a, 255, 1024};
+  fuzz::Input Base(128, 'x');
+  fuzz::Input Donor(96, 'y');
+  fuzz::Input Data;
+  Data.reserve(MC.MaxLen);
+  for (auto _ : State) {
+    Data.assign(Base.begin(), Base.end());
+    Mut.splice(Data, Donor, Dict);
+    benchmark::DoNotOptimize(Data.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Splice);
 
 /// VM execution of one subject seed under a given instrumentation.
 void runVmBench(benchmark::State &State, instr::Feedback Mode) {

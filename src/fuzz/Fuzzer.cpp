@@ -41,6 +41,14 @@ Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
       CheapMachine->attachJit(this->Opts.CheapJit);
   }
   EdgeCovered.assign(Shadow.numEdges(), 0);
+  // The exec loop's buffers start at their bounds, so it never grows one
+  // mid-campaign (seeds longer than MaxLen are the one exception).
+  Base.reserve(this->Opts.Mut.MaxLen);
+  Work.reserve(this->Opts.Mut.MaxLen);
+  for (vm::ExecResult *R : {&Res, &FullRes}) {
+    R->ShadowEdges.reserve(Shadow.numEdges());
+    R->CmpOperands.reserve(this->Opts.Exec.MaxCmpLog + 1);
+  }
   if (telemetry::Compiled && this->Opts.Trace.Enabled) {
     Tr = std::make_unique<telemetry::InstanceTrace>(this->Opts.Trace);
     telemetry::MetricsRegistry &Reg = Tr->metrics();
@@ -88,6 +96,12 @@ Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
 }
 
 vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
+  vm::ExecResult Res;
+  execute(Data, LogCmps, Res);
+  return Res;
+}
+
+void Fuzzer::execute(const Input &Data, bool LogCmps, vm::ExecResult &Out) {
   Trace.reset();
   cov::CoverageMap::ProbeView View = Trace.probeView();
   vm::FeedbackContext Fb;
@@ -103,11 +117,11 @@ vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
 
   vm::ExecOptions EO = Opts.Exec;
   EO.LogCmps = LogCmps;
-  return Machine.run(Data.data(), Data.size(), EO, &Fb);
+  Machine.run(Data.data(), Data.size(), EO, &Fb, Out);
 }
 
-vm::ExecResult Fuzzer::executeCheap(const Input &Data, bool LogCmps,
-                                    uint64_t &Sig) {
+void Fuzzer::executeCheap(const Input &Data, bool LogCmps, uint64_t &Sig,
+                          vm::ExecResult &Out) {
   // No map, no trace: the run is invisible to coverage and telemetry. The
   // coverage map is left untouched (not even reset) — a skipped execution
   // must not perturb it, and a replaced one resets it in executeRaw. The
@@ -117,7 +131,7 @@ vm::ExecResult Fuzzer::executeCheap(const Input &Data, bool LogCmps,
   Fb.PathSig = &Sig;
   vm::ExecOptions EO = Opts.Exec;
   EO.LogCmps = LogCmps;
-  return CheapMachine->run(Data.data(), Data.size(), EO, &Fb);
+  CheapMachine->run(Data.data(), Data.size(), EO, &Fb, Out);
 }
 
 void Fuzzer::sampleGrowth() {
@@ -381,12 +395,12 @@ void Fuzzer::run(uint64_t ExecBudget) {
 
     uint32_t Energy = energyFor(E);
     uint32_t Depth = E.Depth + 1;
-    Input Base = E.Data; // E may be invalidated by queue growth
+    Base.assign(E.Data.begin(), E.Data.end()); // queue growth may move E
     Q.markFuzzed(Index);
 
     for (uint32_t I = 0; I < Energy && Stats.Execs < ExecBudget && !stopNow();
          ++I) {
-      Input Data = Base;
+      Work.assign(Base.begin(), Base.end());
       bool DoSplice = Q.size() > 1 && R.chance(Opts.SplicePercent, 100);
       if (DoSplice) {
         // Re-draw when the donor is the entry being fuzzed (AFL does the
@@ -394,14 +408,13 @@ void Fuzzer::run(uint64_t ExecBudget) {
         size_t Donor = R.index(Q.size());
         while (Donor == Index)
           Donor = R.index(Q.size());
-        Mut.splice(Data, Q[Donor].Data, CmpDict);
+        Mut.splice(Work, Q[Donor].Data, CmpDict);
       } else {
-        Mut.havoc(Data, CmpDict);
+        Mut.havoc(Work, CmpDict);
       }
       // Log comparisons on a small fraction of runs to refresh the
       // dictionary without paying the cost everywhere.
       bool LogCmps = Opts.UseCmpDict && R.oneIn(16);
-      vm::ExecResult Res;
       bool SkipNovelty = false;
       if (SelectiveOn) {
         // Two-tier step: run the cheap (probe-free, map-less) tier first;
@@ -410,7 +423,7 @@ void Fuzzer::run(uint64_t ExecBudget) {
         // observable campaign state evolves byte-identically to always
         // running the full tier — the only difference is cost.
         uint64_t Sig = 0;
-        Res = executeCheap(Data, LogCmps, Sig);
+        executeCheap(Work, LogCmps, Sig, Res);
         if (Res.crashed() || Res.hung()) {
           // Crash/hang bookkeeping never reads the coverage map and every
           // field it uses is exact on the cheap tier: process directly.
@@ -421,22 +434,22 @@ void Fuzzer::run(uint64_t ExecBudget) {
         } else {
           if (MSelReplays)
             ++*MSelReplays;
-          vm::ExecResult Full = executeRaw(Data, LogCmps);
+          execute(Work, LogCmps, FullRes);
           // The replay contract says the full run reproduces the cheap
           // run observation-for-observation; a mismatch means the engines
           // (or the elision) diverged. Count it — the identity tests turn
           // any nonzero value into a failure.
           if (MSelMismatch &&
-              (Full.Steps != Res.Steps ||
-               Full.TheFault.Kind != Res.TheFault.Kind ||
-               Full.ReturnValue != Res.ReturnValue))
+              (FullRes.Steps != Res.Steps ||
+               FullRes.TheFault.Kind != Res.TheFault.Kind ||
+               FullRes.ReturnValue != Res.ReturnValue))
             ++*MSelMismatch;
-          Res = std::move(Full);
+          std::swap(Res, FullRes); // both keep their buffers
         }
       } else {
-        Res = executeRaw(Data, LogCmps);
+        execute(Work, LogCmps, Res);
       }
-      processResult(Data, Res, Depth, /*ForceAdd=*/false, SkipNovelty);
+      processResult(Work, Res, Depth, /*ForceAdd=*/false, SkipNovelty);
     }
   }
 }

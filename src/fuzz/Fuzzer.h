@@ -295,10 +295,12 @@ private:
   bool processResult(const Input &Data, const vm::ExecResult &Res,
                      uint32_t Depth, bool ForceAdd = false,
                      bool SkipNovelty = false);
+  /// executeRaw into a caller-owned result (cleared, capacity kept).
+  void execute(const Input &Data, bool LogCmps, vm::ExecResult &Out);
   /// Selective-mode cheap execution: no coverage map, no trace, just the
   /// exec-path signature (and the exact crash/hang/cmp/shadow data).
-  vm::ExecResult executeCheap(const Input &Data, bool LogCmps,
-                              uint64_t &Sig);
+  void executeCheap(const Input &Data, bool LogCmps, uint64_t &Sig,
+                    vm::ExecResult &Out);
   uint32_t energyFor(const QueueEntry &E) const;
   void sampleGrowth();
   void sampleTrace();
@@ -337,6 +339,13 @@ private:
 
   CycleScheduler Sched;
   uint64_t AvgStepsNum = 0, AvgStepsDen = 0;
+
+  // run()'s reused per-exec buffers: never part of the fuzzer's state
+  // (snapshots skip them), they only keep the loop free of allocation.
+  Input Base;             ///< the entry being fuzzed, copied from the queue
+  Input Work;             ///< Base mutated for one execution (MaxLen reserved)
+  vm::ExecResult Res;     ///< the execution's result
+  vm::ExecResult FullRes; ///< selective mode: the full-tier replay
   /// Latched when StopRequest stopped the last run() (see preempted()).
   bool PreemptHit = false;
 

@@ -27,7 +27,13 @@ void Mutator::insertBytes(Input &Data, size_t Pos, const uint8_t *Src,
                           size_t N) {
   if (Data.size() + N > Config.MaxLen)
     return;
-  Data.insert(Data.begin() + static_cast<long>(Pos), Src, Src + N);
+  // Src never points into Data (callers pass stack blocks), so a resize
+  // that reallocates cannot invalidate it. Grow, shift the tail, copy in.
+  const size_t Old = Data.size();
+  Data.resize(Old + N);
+  uint8_t *P = Data.data();
+  std::memmove(P + Pos + N, P + Pos, Old - Pos);
+  std::memcpy(P + Pos, Src, N);
 }
 
 void Mutator::writeValueLE(Input &Data, int64_t Value, unsigned Width,
@@ -99,10 +105,10 @@ void Mutator::mutateOnce(Input &Data, const std::vector<int64_t> &Dict) {
   case 7: { // clone a block (insert)
     size_t Len = 1 + R.index(std::min<size_t>(Data.size(), 16));
     size_t From = R.index(Data.size() - Len + 1);
-    Input Block(Data.begin() + static_cast<long>(From),
-                Data.begin() + static_cast<long>(From + Len));
+    uint8_t Block[16];
+    std::memcpy(Block, Data.data() + From, Len);
     size_t To = R.index(Data.size() + 1);
-    insertBytes(Data, To, Block.data(), Block.size());
+    insertBytes(Data, To, Block, Len);
     break;
   }
   case 8: { // insert random bytes
@@ -127,8 +133,9 @@ void Mutator::mutateOnce(Input &Data, const std::vector<int64_t> &Dict) {
     size_t Len = 1 + R.below(16);
     uint8_t Byte =
         Data.empty() ? static_cast<uint8_t>(R.next()) : Data[R.index(Data.size())];
-    Input Block(Len, Byte);
-    insertBytes(Data, R.index(Data.size() + 1), Block.data(), Block.size());
+    uint8_t Block[16];
+    std::memset(Block, Byte, Len);
+    insertBytes(Data, R.index(Data.size() + 1), Block, Len);
     break;
   }
   case 11:   // dictionary overwrite (cmplog / input-to-state analogue)
@@ -150,9 +157,16 @@ void Mutator::mutateOnce(Input &Data, const std::vector<int64_t> &Dict) {
     if (R.oneIn(2) && Data.size() > 1) {
       Data.resize(1 + R.index(Data.size()));
     } else {
+      // Target <= MaxLen, so extending to Target is the whole bound; one
+      // draw per appended byte, in order.
       size_t Target = 1 + R.index(Config.MaxLen);
-      while (Data.size() < Target && Data.size() < Config.MaxLen)
-        Data.push_back(static_cast<uint8_t>(R.next()));
+      size_t Old = Data.size();
+      if (Old < Target) {
+        Data.resize(Target);
+        for (uint8_t *P = Data.data() + Old, *End = Data.data() + Target;
+             P != End; ++P)
+          *P = static_cast<uint8_t>(R.next());
+      }
     }
     break;
   }
@@ -170,15 +184,21 @@ void Mutator::havoc(Input &Data, const std::vector<int64_t> &Dict) {
 void Mutator::splice(Input &Data, const Input &Other,
                      const std::vector<int64_t> &Dict) {
   if (!Other.empty() && !Data.empty()) {
+    // Data becomes Data[0, CutA) ++ Other[CutB, end), capped at MaxLen,
+    // built in place. Other may be Data itself: grow first (a
+    // reallocation moves both views together), memmove the overlap, and
+    // only then shrink.
     size_t CutA = R.index(Data.size());
     size_t CutB = R.index(Other.size());
-    Input Merged(Data.begin(), Data.begin() + static_cast<long>(CutA));
-    Merged.insert(Merged.end(), Other.begin() + static_cast<long>(CutB),
-                  Other.end());
-    if (Merged.size() > Config.MaxLen)
-      Merged.resize(Config.MaxLen);
-    if (!Merged.empty())
-      Data = std::move(Merged);
+    const size_t Keep = std::min(CutA, Config.MaxLen);
+    const size_t Take = std::min(Other.size() - CutB, Config.MaxLen - Keep);
+    const size_t NewLen = Keep + Take;
+    if (NewLen != 0) {
+      if (NewLen > Data.size())
+        Data.resize(NewLen);
+      std::memmove(Data.data() + Keep, Other.data() + CutB, Take);
+      Data.resize(NewLen);
+    }
   }
   havoc(Data, Dict);
 }

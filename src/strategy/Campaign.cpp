@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <string>
 #include <utility>
 
 namespace pathfuzz {
@@ -662,8 +663,21 @@ CampaignResult runOpp(SubjectBuild &SB, const CampaignOptions &Opts,
   return R;
 }
 
+/// Options no driver can run: a MaxInputLen of 0 leaves the mutator no
+/// length to draw from, and one past MaxInputLenLimit an absurd buffer.
+bool checkOptions(const CampaignOptions &Opts, CampaignError *Err) {
+  if (Opts.MaxInputLen >= 1 && Opts.MaxInputLen <= MaxInputLenLimit)
+    return true;
+  setCampaignError(Err, "MaxInputLen must be in [1, " +
+                            std::to_string(MaxInputLenLimit) + "], got " +
+                            std::to_string(Opts.MaxInputLen));
+  return false;
+}
+
 CampaignResult dispatch(SubjectBuild &B, const CampaignOptions &Opts,
                         CampaignError *Err, ByteReader *Resume) {
+  if (!checkOptions(Opts, Err))
+    return {};
   if (!B.ok()) {
     setCampaignError(Err, B.error(), B.faultSite(), B.transientError());
     return {};
@@ -741,6 +755,8 @@ bool readOptionsFingerprint(ByteReader &Rd, CampaignOptions &Opts) {
     return false;
   Opts.CullRounds = Rd.u32();
   Opts.MaxInputLen = Rd.u64();
+  if (Opts.MaxInputLen == 0 || Opts.MaxInputLen > MaxInputLenLimit)
+    return false;
   Opts.StepLimit = Rd.u64();
   uint8_t Placement = Rd.u8();
   if (Placement > static_cast<uint8_t>(bl::PlacementMode::SpanningTree))
@@ -759,7 +775,10 @@ CampaignResult runCampaign(const Subject &S, const CampaignOptions &Opts,
 CampaignResult runCampaign(SubjectBuild &B, const CampaignOptions &Opts,
                            CampaignError *Err) {
   // Durable campaigns detour through the store layer, which re-enters
-  // here with StoreDir cleared once recovery is resolved.
+  // here with StoreDir cleared once recovery is resolved. Options are
+  // checked first so a store never pins a manifest no run can use.
+  if (!checkOptions(Opts, Err))
+    return {};
   if (!Opts.StoreDir.empty())
     return runStoredCampaign(B, Opts, Err);
   return dispatch(B, Opts, Err, nullptr);

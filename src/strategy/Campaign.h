@@ -84,6 +84,10 @@ struct Subject {
   std::vector<fuzz::Input> Seeds;
 };
 
+/// Upper bound on CampaignOptions::MaxInputLen. Each fuzzer instance
+/// reserves a mutation buffer of MaxInputLen bytes.
+constexpr size_t MaxInputLenLimit = size_t(1) << 20;
+
 struct CampaignOptions {
   FuzzerKind Kind = FuzzerKind::Pcguard;
   uint64_t ExecBudget = 20000;
@@ -93,6 +97,8 @@ struct CampaignOptions {
   /// 48h/6h = 8 rounds; with the scaled-down execution budgets 2 rounds
   /// keep each round long enough to rebuild momentum after a cull.
   uint32_t CullRounds = 2;
+  /// Largest mutated input, in bytes: 1..MaxInputLenLimit (campaigns and
+  /// fingerprints reject anything else).
   size_t MaxInputLen = 256;
   uint64_t StepLimit = 50000;
   bl::PlacementMode Placement = bl::PlacementMode::SpanningTree;

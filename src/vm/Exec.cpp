@@ -98,6 +98,13 @@ inline void logCmpOperands(mir::BinOp Op, int64_t L, int64_t Rv,
   }
 }
 
+/// Shadow edge ID of a CondBr slot's successor (Imm packs the taken ID in
+/// the low half and the not-taken ID in the high half).
+inline uint32_t condBrEdge(const DInstr *I, bool Taken) {
+  const uint64_t Packed = static_cast<uint64_t>(I->Imm);
+  return static_cast<uint32_t>(Taken ? Packed : Packed >> 32);
+}
+
 /// The 16-way ALU; returns false on division by zero. Wrap-around and
 /// INT64_MIN corner handling match Vm.cpp.
 inline bool evalBin(mir::BinOp Op, int64_t L, int64_t Rv, int64_t &Out) {
@@ -209,10 +216,9 @@ void Vm::resetGlobalsFromImage() {
   DirtyList.clear();
 }
 
-ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
-                        const ExecOptions &Opts, FeedbackContext *Fb) {
+void Vm::runImage(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                  FeedbackContext *Fb, ExecResult &R) {
   const ProgramImage &P = *Img;
-  ExecResult R;
 
   FFrames.clear();
   resetGlobalsFromImage();
@@ -222,7 +228,8 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
   uint8_t *const Lines = mapLines(Fb);
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0x50a7af1dULL;
-  const bool RecordEdges = Opts.RecordShadowEdges && Shadow;
+  uint64_t *const Edges =
+      Opts.RecordShadowEdges && Shadow ? EdgeBits.data() : nullptr;
   const bool DoCallHash = Fb && Fb->CallPathHash && Map;
   const bool DoSig = Fb && Fb->PathSig;
   uint64_t Sig = 0;
@@ -570,13 +577,7 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
   PF_NEXT();
 
   PF_OP_CT(Br) {
-    if (RecordEdges) {
-      const uint32_t Id = I->Y;
-      if (Id != UINT32_MAX && !EdgeSeen[Id]) {
-        EdgeSeen[Id] = 1;
-        EdgeTouched.push_back(Id);
-      }
-    }
+    markEdge(Edges, I->Y);
     PC = I->X;
   }
   PF_NEXT();
@@ -587,16 +588,7 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
     // matching the interpreter's terminator Slot value exactly.
     if (DoSig)
       Sig = hashCombine(Sig, static_cast<uint64_t>(Taken ? 0 : 1));
-    if (RecordEdges) {
-      const uint64_t Packed = static_cast<uint64_t>(I->Imm);
-      const uint32_t Id =
-          Taken ? static_cast<uint32_t>(Packed)
-                : static_cast<uint32_t>(Packed >> 32);
-      if (Id != UINT32_MAX && !EdgeSeen[Id]) {
-        EdgeSeen[Id] = 1;
-        EdgeTouched.push_back(Id);
-      }
-    }
+    markEdge(Edges, condBrEdge(I, Taken));
     PC = Taken ? I->X : I->Y;
   }
   PF_NEXT();
@@ -615,13 +607,7 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
     if (DoSig)
       Sig = hashCombine(Sig, static_cast<uint64_t>(Slot));
     const SuccEntry &SE = SuccPool[I->X + Slot];
-    if (RecordEdges) {
-      const uint32_t Id = SE.EdgeId;
-      if (Id != UINT32_MAX && !EdgeSeen[Id]) {
-        EdgeSeen[Id] = 1;
-        EdgeTouched.push_back(Id);
-      }
-    }
+    markEdge(Edges, SE.EdgeId);
     PC = SE.TargetPC;
   }
   PF_NEXT();
@@ -643,15 +629,7 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
       const bool Taken = Out != 0;
       if (DoSig)
         Sig = hashCombine(Sig, static_cast<uint64_t>(Taken ? 0 : 1));
-      if (RecordEdges) {
-        const uint64_t Packed = static_cast<uint64_t>(I->Imm);
-        const uint32_t Id = Taken ? static_cast<uint32_t>(Packed)
-                                  : static_cast<uint32_t>(Packed >> 32);
-        if (Id != UINT32_MAX && !EdgeSeen[Id]) {
-          EdgeSeen[Id] = 1;
-          EdgeTouched.push_back(Id);
-        }
-      }
+      markEdge(Edges, condBrEdge(I, Taken));
       PC = Taken ? I->X : I->Y;
     }
   }
@@ -672,15 +650,7 @@ ExecResult Vm::runImage(const uint8_t *Input, size_t Len,
       const bool Taken = Out != 0;
       if (DoSig)
         Sig = hashCombine(Sig, static_cast<uint64_t>(Taken ? 0 : 1));
-      if (RecordEdges) {
-        const uint64_t Packed = static_cast<uint64_t>(I->Imm);
-        const uint32_t Id = Taken ? static_cast<uint32_t>(Packed)
-                                  : static_cast<uint32_t>(Packed >> 32);
-        if (Id != UINT32_MAX && !EdgeSeen[Id]) {
-          EdgeSeen[Id] = 1;
-          EdgeTouched.push_back(Id);
-        }
-      }
+      markEdge(Edges, condBrEdge(I, Taken));
       PC = Taken ? I->X : I->Y;
     }
   }
@@ -761,13 +731,8 @@ Finish:
   R.Steps = Steps;
   if (DoSig)
     *Fb->PathSig = Sig;
-  if (RecordEdges) {
-    std::sort(EdgeTouched.begin(), EdgeTouched.end());
-    R.ShadowEdges = EdgeTouched;
-    for (uint32_t Id : EdgeTouched)
-      EdgeSeen[Id] = 0;
-    EdgeTouched.clear();
-  }
+  if (Edges)
+    drainEdges(R.ShadowEdges);
   // Dirty accounting happens at exec end, not reset time, so the value is
   // a deterministic function of this execution alone (a checkpoint-resumed
   // Vm reports the same series even though its first reset restores
@@ -778,7 +743,6 @@ Finish:
     Dirty += std::min<uint64_t>(SnapshotPageCells, NumGlobalCells - Base);
   }
   R.DirtyGlobalCells = Dirty;
-  return R;
 }
 
 } // namespace vm

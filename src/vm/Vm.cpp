@@ -12,6 +12,7 @@
 #include "vm/jit/Jit.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace pathfuzz {
@@ -80,7 +81,7 @@ Vm::Vm(const mir::Module &M, const instr::ShadowEdgeIndex *Shadow)
   MainIndex = M.findFunction("main");
   assert(MainIndex >= 0 && "module has no @main");
   if (Shadow)
-    EdgeSeen.assign(Shadow->numEdges(), 0);
+    EdgeBits.assign((Shadow->numEdges() + 63) / 64, 0);
 }
 
 void Vm::attachImage(const ProgramImage *Image) {
@@ -120,16 +121,37 @@ uint8_t *Vm::mapLines(const FeedbackContext *Fb) {
   return LineSink.data();
 }
 
-ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                   FeedbackContext *Fb) {
+void Vm::drainEdges(std::vector<uint32_t> &Out) {
+  uint64_t *const Bits = EdgeBits.data();
+  for (size_t W = 0, N = EdgeBits.size(); W < N; ++W) {
+    uint64_t Word = Bits[W];
+    if (!Word)
+      continue;
+    Bits[W] = 0;
+    const uint32_t Base = static_cast<uint32_t>(W) << 6;
+    do {
+      Out.push_back(Base + static_cast<uint32_t>(std::countr_zero(Word)));
+      Word &= Word - 1;
+    } while (Word);
+  }
+}
+
+void Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+             FeedbackContext *Fb, ExecResult &Out) {
+  Out.clear();
   if (Jp)
-    return runJit(Input, Len, Opts, Fb);
-  if (Img)
-    return runImage(Input, Len, Opts, Fb);
+    runJit(Input, Len, Opts, Fb, Out);
+  else if (Img)
+    runImage(Input, Len, Opts, Fb, Out);
+  else
+    runInterp(Input, Len, Opts, Fb, Out);
+}
+
+void Vm::runInterp(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                   FeedbackContext *Fb, ExecResult &R) {
   // An interpreter run rebuilds Objects/Cells from scratch below, clobbering
   // any persistent globals prefix a fast-path run may have left behind.
   GlobalsLive = false;
-  ExecResult R;
 
   Frames.clear();
   RegStack.clear();
@@ -141,7 +163,8 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   uint8_t *Lines = mapLines(Fb);
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0x50a7af1dULL;
-  bool RecordEdges = Opts.RecordShadowEdges && Shadow;
+  uint64_t *const Edges =
+      Opts.RecordShadowEdges && Shadow ? EdgeBits.data() : nullptr;
   const bool DoSig = Fb && Fb->PathSig;
   uint64_t Sig = 0;
 
@@ -530,13 +553,8 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     if (DoSig && T.Kind != mir::TermKind::Br)
       Sig = hashCombine(Sig, Slot);
 
-    if (RecordEdges) {
-      uint32_t Id = Shadow->edgeId(Fr.Func, Fr.Block, Slot);
-      if (Id != UINT32_MAX && !EdgeSeen[Id]) {
-        EdgeSeen[Id] = 1;
-        EdgeTouched.push_back(Id);
-      }
-    }
+    if (Edges)
+      markEdge(Edges, Shadow->edgeId(Fr.Func, Fr.Block, Slot));
     Fr.Block = T.Succs[Slot];
     Fr.InstrIdx = 0;
   }
@@ -544,14 +562,8 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   R.Steps = Steps;
   if (DoSig)
     *Fb->PathSig = Sig;
-  if (RecordEdges) {
-    std::sort(EdgeTouched.begin(), EdgeTouched.end());
-    R.ShadowEdges = EdgeTouched;
-    for (uint32_t Id : EdgeTouched)
-      EdgeSeen[Id] = 0;
-    EdgeTouched.clear();
-  }
-  return R;
+  if (Edges)
+    drainEdges(R.ShadowEdges);
 }
 
 } // namespace vm

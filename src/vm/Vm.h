@@ -163,7 +163,8 @@ struct ExecResult {
   Fault TheFault;
   uint64_t Steps = 0;
   int64_t ReturnValue = 0;
-  /// Unique shadow edges covered, ascending (empty if not recorded).
+  /// Unique shadow edges covered, ascending by construction (drained
+  /// from a bitset word by word); empty if not recorded.
   std::vector<uint32_t> ShadowEdges;
   /// Logged comparison operand values (for the cmplog stage).
   std::vector<int64_t> CmpOperands;
@@ -178,6 +179,19 @@ struct ExecResult {
 
   bool crashed() const { return isCrash(TheFault.Kind); }
   bool hung() const { return TheFault.Kind == FaultKind::StepLimit; }
+
+  /// Reset to a default-constructed result, keeping the vectors' capacity
+  /// (Vm::run's out-parameter form reuses one result across executions).
+  void clear() {
+    TheFault.Kind = FaultKind::None;
+    TheFault.Func = TheFault.Block = TheFault.InstrIdx = 0;
+    TheFault.Stack.clear();
+    Steps = 0;
+    ReturnValue = 0;
+    ShadowEdges.clear();
+    CmpOperands.clear();
+    HeapAllocs = HeapCellsAllocated = DirtyGlobalCells = 0;
+  }
 };
 
 /// Cumulative snapshot-reset accounting of one fast-path Vm: how much of
@@ -206,9 +220,19 @@ public:
   /// Shadow may be null to disable shadow-edge recording entirely.
   Vm(const mir::Module &M, const instr::ShadowEdgeIndex *Shadow = nullptr);
 
+  /// Execute @main on the given input into Out, which is cleared first
+  /// but keeps its vectors' capacity: a caller that reuses one result
+  /// runs without heap allocation once the buffers have grown.
+  void run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+           FeedbackContext *Fb, ExecResult &Out);
+
   /// Execute @main on the given input.
   ExecResult run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                 FeedbackContext *Fb = nullptr);
+                 FeedbackContext *Fb = nullptr) {
+    ExecResult R;
+    run(Input, Len, Opts, Fb, R);
+    return R;
+  }
 
   /// Attach a pre-decoded image of this Vm's module: run() switches to the
   /// threaded-dispatch, snapshot-reset executor (Exec.cpp), which produces
@@ -256,14 +280,30 @@ private:
     mir::Reg RetReg = 0;
   };
 
+  /// The reference interpreter (Vm.cpp).
+  void runInterp(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                 FeedbackContext *Fb, ExecResult &R);
+
   /// The fast-path executor (Exec.cpp). Requires Img.
-  ExecResult runImage(const uint8_t *Input, size_t Len,
-                      const ExecOptions &Opts, FeedbackContext *Fb);
+  void runImage(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                FeedbackContext *Fb, ExecResult &R);
 
   /// The JIT engine (jit/Run.cpp). Requires Jp; falls back to runImage
   /// when the per-exec capacity guard rejects the options.
-  ExecResult runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                    FeedbackContext *Fb);
+  void runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+              FeedbackContext *Fb, ExecResult &R);
+
+  /// Record shadow edge Id (UINT32_MAX = no edge) in an edge bitset; Bits
+  /// is null when the execution records no edges. Setting a bit twice is
+  /// harmless, so recording needs no seen-test.
+  static void markEdge(uint64_t *Bits, uint32_t Id) {
+    if (Bits && Id != UINT32_MAX)
+      Bits[Id >> 6] |= uint64_t(1) << (Id & 63);
+  }
+
+  /// Append the shadow edges set in EdgeBits to Out in ascending order,
+  /// clearing every word it visits; the bitset is all-zero afterwards.
+  void drainEdges(std::vector<uint32_t> &Out);
 
   /// Snapshot reset: restore the persistent globals prefix of
   /// Objects/Cells to the image's pristine state, touching only pages the
@@ -283,8 +323,9 @@ private:
   std::vector<Frame> Frames;
   std::vector<HeapObject> Objects;
   std::vector<int64_t> Cells;
-  std::vector<uint8_t> EdgeSeen;
-  std::vector<uint32_t> EdgeTouched;
+  /// Shadow edges of the running execution, one bit per edge ID (bit
+  /// Id & 63 of word Id >> 6); all-zero between executions.
+  std::vector<uint64_t> EdgeBits;
   /// Line-mark target for untracked maps (see mapLines); never read.
   std::vector<uint8_t> LineSink;
 
@@ -304,7 +345,6 @@ private:
   // this header needs no jit types.
   const jit::JitProgram *Jp = nullptr;
   std::vector<uint8_t> JitFrames;
-  std::vector<uint32_t> JitEdges;
   std::vector<uint32_t> JitDirty;
   JitRunStats JStats;
 };

@@ -48,6 +48,7 @@
 #include "vm/jit/Emitter.h"
 #include "vm/jit/Runtime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -199,6 +200,8 @@ public:
     emitColdStubs();
   }
 
+  uint32_t edgeWords() const { return EdgeWords; }
+
 private:
   Emitter &E;
   const ProgramImage &P;
@@ -211,6 +214,8 @@ private:
     uint32_t Pc;
   };
   std::vector<Stub> Stubs;
+  /// Edge-bitset words the emitted code indexes (see emitEdgeRecord).
+  uint32_t EdgeWords = 0;
 
   Mem reg(uint32_t Idx) const {
     return mem(R14, static_cast<int32_t>(Idx * 8));
@@ -293,23 +298,15 @@ private:
     E.movMI8(mem(RCX, RAX, 1, 0), 1);
   }
 
-  /// Shadow-edge dedup record for a compile-time edge id (the caller has
-  /// already excluded the UINT32_MAX skip sentinel).
+  /// Shadow-edge record for a compile-time edge id (the caller has
+  /// already excluded the UINT32_MAX skip sentinel): one unconditional
+  /// `or byte [EdgeBits + (Id >> 3)], 1 << (Id & 7)`. Clobbers rax.
   void emitEdgeRecord(uint32_t Id) {
     assert(Id <= INT32_MAX && "edge id exceeds disp32 addressing");
-    uint32_t Skip = E.label();
-    E.aluMI8(Emitter::CMP, PF_ST(FlagRecordEdges), 0);
-    E.jcc(CC_E, Skip);
-    E.movRM(RAX, PF_ST(EdgeSeen));
-    E.aluMI8(Emitter::CMP, mem(RAX, static_cast<int32_t>(Id)), 0);
-    E.jcc(CC_NE, Skip);
-    E.movMI8(mem(RAX, static_cast<int32_t>(Id)), 1);
-    E.movRM(RAX, PF_ST(EdgeTouched));
-    E.movRM(RDX, PF_ST(EdgeTouchedN));
-    E.movMI32(mem(RAX, RDX, 4, 0), static_cast<int32_t>(Id));
-    E.aluRI(Emitter::ADD, RDX, 1);
-    E.movMR(PF_ST(EdgeTouchedN), RDX);
-    E.bind(Skip);
+    EdgeWords = std::max(EdgeWords, Id / 64 + 1);
+    E.movRM(RAX, PF_ST(EdgeBits));
+    E.aluMI8(Emitter::OR, mem(RAX, static_cast<int32_t>(Id >> 3)),
+             static_cast<uint8_t>(1u << (Id & 7)));
   }
 
   /// Path-signature update with a compile-time decision value:
@@ -912,9 +909,11 @@ std::unique_ptr<JitProgram> JitProgram::compile(const ProgramImage &Image) {
   if (!available())
     return nullptr;
   Emitter E;
+  uint32_t EdgeWords = 0;
   {
     Compiler C(E, Image);
     C.run();
+    EdgeWords = C.edgeWords();
   }
   E.finalize();
 
@@ -934,6 +933,7 @@ std::unique_ptr<JitProgram> JitProgram::compile(const ProgramImage &Image) {
   for (size_t F = 0; F < Image.numFuncs(); ++F)
     MaxRegs = std::max<uint32_t>(MaxRegs, Image.funcs()[F].NumRegs);
   Prog->MaxRegs = MaxRegs;
+  Prog->EdgeWords = EdgeWords;
   return Prog;
 #else
   (void)Image;

@@ -91,6 +91,9 @@ public:
   /// Largest per-function register frame in the image, for the worst-case
   /// register-stack pre-reservation in Run.cpp.
   uint32_t maxFrameRegs() const { return MaxRegs; }
+  /// 64-bit words of edge bitset that cover every shadow edge ID the
+  /// compiled code records (0 when the image resolved none).
+  uint32_t edgeWords() const { return EdgeWords; }
 
 private:
   JitProgram() = default;
@@ -100,6 +103,7 @@ private:
   EntryFn Entry = nullptr;
   JitStats Stats;
   uint32_t MaxRegs = 0;
+  uint32_t EdgeWords = 0;
 };
 
 } // namespace jit

@@ -17,8 +17,8 @@
 //    advanced past a faulting slot, un-advanced for a step trip) and the
 //    stack walk reads bytecode SavedPCs out of the JitFrame array with
 //    the reference's exact loop shape.
-//  - Shadow edges are sorted from the flat scratch, the EdgeSeen bitmap
-//    is re-cleared, and the dirty-page list is adopted so the next
+//  - Shadow edges are drained from the Vm's edge bitset in ascending
+//    order (clearing it), and the dirty-page list is adopted so the next
 //    snapshot reset (shared with the fast path) works unchanged.
 //
 //===----------------------------------------------------------------------===//
@@ -34,8 +34,8 @@
 namespace pathfuzz {
 namespace vm {
 
-ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                      FeedbackContext *Fb) {
+void Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                FeedbackContext *Fb, ExecResult &R) {
   const jit::JitProgram &J = *Jp;
   const ProgramImage &P = *Img;
 
@@ -49,10 +49,10 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
       (MaxDepth + 1) * static_cast<uint64_t>(J.maxFrameRegs()) + 8;
   if (MaxDepth > (uint64_t(1) << 20) || WorstRegs > (uint64_t(1) << 22)) {
     ++JStats.Fallbacks;
-    return runImage(Input, Len, Opts, Fb);
+    runImage(Input, Len, Opts, Fb, R);
+    return;
   }
 
-  ExecResult R;
   resetGlobalsFromImage();
 
   if (RegStack.size() < WorstRegs)
@@ -61,9 +61,12 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
       static_cast<size_t>(MaxDepth + 1) * sizeof(jit::JitFrame);
   if (JitFrames.size() < FrameBytes)
     JitFrames.resize(FrameBytes);
+  // Compiled code sets edge bits unconditionally, so the bitset covers
+  // every ID the program emits even when this run records none (the bits
+  // are then cleared unread).
   const bool RecordEdges = Opts.RecordShadowEdges && Shadow;
-  if (RecordEdges && JitEdges.size() < Shadow->numEdges())
-    JitEdges.resize(Shadow->numEdges());
+  if (EdgeBits.size() < J.edgeWords())
+    EdgeBits.resize(J.edgeWords());
   if (JitDirty.size() < DirtyPage.size())
     JitDirty.resize(DirtyPage.size());
 
@@ -101,16 +104,13 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   S.StepsRemaining = Opts.StepLimit;
   S.MaxCallDepth = MaxDepth;
   S.FuncKeys = Fb ? Fb->FuncKeys : nullptr;
-  S.EdgeSeen = EdgeSeen.data();
-  S.EdgeTouched = JitEdges.data();
-  S.EdgeTouchedN = 0;
+  S.EdgeBits = reinterpret_cast<uint8_t *>(EdgeBits.data());
   S.DirtyPage = DirtyPage.data();
   S.DirtyList = JitDirty.data();
   S.DirtyN = 0;
   S.NumGlobalCells = P.globalCells();
   S.NumGlobals = P.numGlobals();
   S.FlagLogCmps = Opts.LogCmps ? 1 : 0;
-  S.FlagRecordEdges = RecordEdges ? 1 : 0;
   S.FlagDoCallHash = DoCallHash ? 1 : 0;
   S.FlagDoSig = DoSig ? 1 : 0;
   S.ObjectsVec = &Objects;
@@ -147,12 +147,10 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
 
   if (DoSig)
     *Fb->PathSig = S.Sig;
-  if (RecordEdges) {
-    std::sort(JitEdges.begin(), JitEdges.begin() + S.EdgeTouchedN);
-    R.ShadowEdges.assign(JitEdges.begin(), JitEdges.begin() + S.EdgeTouchedN);
-    for (uint64_t I = 0; I < S.EdgeTouchedN; ++I)
-      EdgeSeen[JitEdges[I]] = 0;
-  }
+  if (RecordEdges)
+    drainEdges(R.ShadowEdges);
+  else
+    std::fill(EdgeBits.begin(), EdgeBits.end(), 0);
   // Adopt the dirty-page list so resetGlobalsFromImage (shared with the
   // fast path) restores exactly these pages before the next run.
   DirtyList.assign(JitDirty.begin(), JitDirty.begin() + S.DirtyN);
@@ -162,7 +160,6 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     Dirty += std::min<uint64_t>(SnapshotPageCells, S.NumGlobalCells - Base);
   }
   R.DirtyGlobalCells = Dirty;
-  return R;
 }
 
 } // namespace vm

@@ -78,9 +78,11 @@ struct JitState {
   uint64_t StepsRemaining = 0;
   uint64_t MaxCallDepth = 0;
   const uint64_t *FuncKeys = nullptr;
-  uint8_t *EdgeSeen = nullptr;
-  uint32_t *EdgeTouched = nullptr; ///< pre-reserved scratch, numEdges long
-  uint64_t EdgeTouchedN = 0;
+  /// Vm::EdgeBits as bytes: the edge template sets bit Id & 7 of byte
+  /// Id >> 3, which on this little-endian target is bit Id & 63 of word
+  /// Id >> 6. Sized for every ID the program emits
+  /// (JitProgram::edgeWords), so the store needs no guard.
+  uint8_t *EdgeBits = nullptr;
   uint8_t *DirtyPage = nullptr;
   uint32_t *DirtyList = nullptr; ///< pre-reserved scratch, numPages long
   uint64_t DirtyN = 0;
@@ -92,10 +94,9 @@ struct JitState {
   // Runtime behavior flags, tested inline so one compiled program serves
   // every campaign configuration (the cache key stays the image's).
   uint8_t FlagLogCmps = 0;
-  uint8_t FlagRecordEdges = 0;
   uint8_t FlagDoCallHash = 0;
   uint8_t FlagDoSig = 0;
-  uint8_t Pad0[4] = {0, 0, 0, 0};
+  uint8_t Pad0[5] = {0, 0, 0, 0, 0};
 
   // Helper-only section (cold).
   std::vector<HeapObject> *ObjectsVec = nullptr;

@@ -10,6 +10,8 @@
 #include "lang/Lexer.h"
 #include "lang/Parser.h"
 #include "strategy/Campaign.h"
+#include "support/Bytes.h"
+#include "targets/Targets.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
@@ -215,6 +217,51 @@ fn main() {
   strategy::CampaignResult R = strategy::runCampaign(S, Opts);
   EXPECT_GE(R.BugIds.size(), 1u);
   EXPECT_GE(R.Execs, 3000u);
+}
+
+// MaxInputLen 0 used to reach Rng::below(0) in the mutator's extend case
+// and kill the process with SIGFPE; past MaxInputLenLimit every instance
+// would reserve an absurd mutation buffer. Both are structured errors.
+TEST(CampaignEdge, OutOfRangeMaxInputLenIsACampaignError) {
+  const strategy::Subject *S = targets::findSubject("jhead");
+  ASSERT_NE(S, nullptr);
+  for (size_t Len : {size_t(0), strategy::MaxInputLenLimit + 1}) {
+    strategy::CampaignOptions Opts;
+    Opts.Kind = strategy::FuzzerKind::Path;
+    Opts.ExecBudget = 2000;
+    Opts.MaxInputLen = Len;
+    strategy::CampaignError Err;
+    strategy::CampaignResult R = strategy::runCampaign(*S, Opts, &Err);
+    EXPECT_TRUE(Err.Failed) << Len;
+    EXPECT_NE(Err.Message.find("MaxInputLen"), std::string::npos) << Len;
+    EXPECT_EQ(R.Execs, 0u) << Len;
+  }
+  // The bounds themselves run.
+  strategy::CampaignOptions Opts;
+  Opts.ExecBudget = 500;
+  Opts.MaxInputLen = 1;
+  strategy::CampaignError Err;
+  strategy::CampaignResult R = strategy::runCampaign(*S, Opts, &Err);
+  EXPECT_FALSE(Err.Failed) << Err.Message;
+  EXPECT_GE(R.Execs, 500u);
+}
+
+// A manifest or checkpoint fingerprint is parsed before any campaign runs,
+// so it rejects the same MaxInputLen values the dispatcher does.
+TEST(CampaignEdge, FingerprintRejectsOutOfRangeMaxInputLen) {
+  for (size_t Len : {size_t(0), size_t(1), strategy::MaxInputLenLimit,
+                     strategy::MaxInputLenLimit + 1}) {
+    strategy::CampaignOptions Opts;
+    Opts.MaxInputLen = Len;
+    const std::vector<uint8_t> Bytes = strategy::fingerprintBytes(Opts);
+    ByteReader Rd(Bytes);
+    strategy::CampaignOptions Back;
+    const bool Valid = Len >= 1 && Len <= strategy::MaxInputLenLimit;
+    EXPECT_EQ(strategy::readOptionsFingerprint(Rd, Back), Valid) << Len;
+    if (Valid) {
+      EXPECT_EQ(Back.MaxInputLen, Len);
+    }
+  }
 }
 
 } // namespace

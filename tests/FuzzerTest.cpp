@@ -7,8 +7,56 @@
 #include "fuzz/Fuzzer.h"
 
 #include "lang/Compile.h"
+#include "vm/Image.h"
+#include "vm/jit/Jit.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+// Global allocation counter for Fuzzer.ExecLoopDoesNotAllocate. Every
+// non-aligned form of operator new/delete is replaced, so each allocation
+// and its release go through malloc/free (also under ASan, which would
+// otherwise pair its own forms with these); aligned forms are untouched.
+static std::atomic<bool> CountAllocs{false};
+static std::atomic<uint64_t> Allocs{0};
+
+static void *countedAlloc(std::size_t N) noexcept {
+  if (CountAllocs.load(std::memory_order_relaxed))
+    Allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(N ? N : 1);
+}
+void *operator new(std::size_t N) {
+  if (void *P = countedAlloc(N))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new[](std::size_t N) { return ::operator new(N); }
+void *operator new(std::size_t N, const std::nothrow_t &) noexcept {
+  return countedAlloc(N);
+}
+void *operator new[](std::size_t N, const std::nothrow_t &) noexcept {
+  return countedAlloc(N);
+}
+// GCC pairs the inlined free with the library's operator new, not this
+// replacement, and warns; the pairing here is malloc/free throughout.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 using namespace pathfuzz;
 using namespace pathfuzz::fuzz;
@@ -208,6 +256,61 @@ TEST(Fuzzer, GrowthSamplesAccumulate) {
   for (size_t I = 1; I < F.stats().QueueGrowth.size(); ++I)
     EXPECT_LE(F.stats().QueueGrowth[I - 1].first,
               F.stats().QueueGrowth[I].first);
+}
+
+// The steady-state exec loop — mutate into the reused buffer, execute into
+// the reused result, check novelty — allocates nothing. Executions that
+// queue an input, record a crash or hang, or grow the dictionary do
+// allocate (they keep copies), so the loop is stepped one execution at a
+// time and only executions with none of those effects are counted. The
+// subject has no calls and no heap, so the VM's own stacks cannot grow
+// past their first high-water mark either.
+TEST(Fuzzer, ExecLoopDoesNotAllocate) {
+  const char *Src = R"ml(
+fn main() {
+  var s = 0;
+  var i = 0;
+  while (i < len()) {
+    var c = in(i);
+    if (c > 200) { s = s + 2; } else { if (c < 50) { s = s - 1; } }
+    i = i + 1;
+  }
+  return s;
+}
+)ml";
+  for (int Engine = 0; Engine < 3; ++Engine) {
+    if (Engine == 2 && !vm::jit::available())
+      continue;
+    Harness H(Src, instr::Feedback::EdgePrecise);
+    vm::ProgramImage Image = vm::ProgramImage::build(H.Mod, &H.Shadow);
+    std::unique_ptr<vm::jit::JitProgram> J =
+        Engine == 2 ? vm::jit::JitProgram::compile(Image) : nullptr;
+    FuzzerOptions FO;
+    FO.Seed = 11;
+    FO.GrowthSampleInterval = 0;
+    FO.Image = Engine >= 1 ? &Image : nullptr;
+    FO.Jit = J.get();
+    Fuzzer F(H.Mod, H.Report, H.Shadow, FO);
+    F.addSeed({'a', 0xff, 7, 'q'});
+    F.run(3000);
+
+    uint64_t Clean = 0, Allocating = 0;
+    for (int K = 0; K < 3000; ++K) {
+      const size_t Queue = F.corpus().size(), Dict = F.cmpDict().size();
+      const uint64_t Crashes = F.stats().Crashes, Hangs = F.stats().Hangs;
+      Allocs = 0;
+      CountAllocs = true;
+      F.run(F.stats().Execs + 1);
+      CountAllocs = false;
+      if (F.corpus().size() != Queue || F.cmpDict().size() != Dict ||
+          F.stats().Crashes != Crashes || F.stats().Hangs != Hangs)
+        continue;
+      ++Clean;
+      Allocating += Allocs != 0;
+    }
+    EXPECT_GT(Clean, 2500u) << "engine " << Engine;
+    EXPECT_EQ(Allocating, 0u) << "engine " << Engine;
+  }
 }
 
 } // namespace

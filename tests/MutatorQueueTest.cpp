@@ -6,6 +6,7 @@
 
 #include "fuzz/Mutator.h"
 #include "fuzz/Queue.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
 
@@ -77,6 +78,62 @@ TEST(Mutator, SpliceMixesInputs) {
       SawB |= (C == 'b');
   }
   EXPECT_TRUE(SawB);
+}
+
+// splice builds its result in place, so an input spliced with itself must
+// match splicing with a separate copy of it: both growing and shrinking,
+// and from inputs longer than MaxLen.
+TEST(Mutator, SpliceWithItselfMatchesACopy) {
+  for (size_t MaxLen : {size_t(8), size_t(64), size_t(512)}) {
+    for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+      MutatorConfig MC;
+      MC.MaxLen = MaxLen;
+      Rng A(Seed), B(Seed);
+      Mutator MA(A, MC), MB(B, MC);
+      Input Data(1 + Seed % 90);
+      for (size_t I = 0; I < Data.size(); ++I)
+        Data[I] = static_cast<uint8_t>(I * 13 + Seed);
+      Input Ref = Data;
+      const Input Donor = Data;
+      MA.splice(Data, Data, {});
+      MB.splice(Ref, Donor, {});
+      ASSERT_EQ(Data, Ref) << "MaxLen " << MaxLen << " seed " << Seed;
+    }
+  }
+}
+
+// Pins the mutator's output stream across commits: the engine-identity
+// tests compare engines within one build, so an RNG-order slip in havoc or
+// splice would pass them. The digest folds every output (bytes and length)
+// of a fixed schedule over seeds, input sizes 1/16/200, a dictionary and
+// splice donors. A change here changes every campaign result; re-pin only
+// with an intended re-baseline.
+TEST(Mutator, StreamMatchesPinnedDigest) {
+  const std::vector<int64_t> Dict = {0x41, 0x7f, 0x1234, -2, 100663045};
+  uint64_t H = FnvOffsetBasis;
+  for (uint64_t Seed : {1u, 7u, 42u}) {
+    for (size_t Size : {1u, 16u, 200u}) {
+      Rng R(Seed * 1000 + Size);
+      MutatorConfig MC;
+      Mutator M(R, MC);
+      Input Base(Size);
+      for (size_t I = 0; I < Size; ++I)
+        Base[I] = static_cast<uint8_t>(I * 37 + Seed);
+      Input Donor(Size + 5, static_cast<uint8_t>(0xd0 + Seed));
+      Input Data;
+      for (int I = 0; I < 400; ++I) {
+        Data = Base;
+        if (I % 4 == 3)
+          M.splice(Data, Donor, I % 2 ? Dict : std::vector<int64_t>{});
+        else
+          M.havoc(Data, I % 3 ? Dict : std::vector<int64_t>{});
+        H = fnv1a(Data.data(), Data.size(), H);
+        const uint64_t Len = Data.size();
+        H = fnv1a(&Len, sizeof(Len), H);
+      }
+    }
+  }
+  EXPECT_EQ(H, 0x99f83ae09c7bceb6ULL);
 }
 
 QueueEntry entry(uint64_t Steps, std::vector<uint32_t> MapSet,

@@ -8,6 +8,8 @@
 #include "strategy/BuildCache.h"
 #include "strategy/Campaign.h"
 #include "strategy/Evaluation.h"
+#include "support/Hashing.h"
+#include "targets/Targets.h"
 
 #include <gtest/gtest.h>
 
@@ -81,6 +83,37 @@ TEST(Campaign, Deterministic) {
     EXPECT_EQ(A.BugIds, B.BugIds);
     EXPECT_EQ(A.CrashHashes, B.CrashHashes);
     EXPECT_EQ(A.EdgeSet, B.EdgeSet);
+  }
+}
+
+// Pins campaign results across commits (Campaign.Deterministic and the
+// engine-identity tests compare runs within one build). Each digest is
+// fnv1a of serializeCampaignResult for one paper subject and feedback mode
+// at a fixed seed and budget; any drift in mutation, scheduling, coverage
+// or the VM shows here. Re-pin only with an intended re-baseline.
+TEST(Campaign, ResultsMatchPinnedDigests) {
+  struct Pin {
+    const char *Subject;
+    FuzzerKind Kind;
+    uint64_t Digest;
+  };
+  const Pin Pins[] = {
+      {"jhead", FuzzerKind::Path, 0x5294c215f2703a02ULL},
+      {"jhead", FuzzerKind::Pcguard, 0xdec5f90e0591aa7bULL},
+      {"infotocap", FuzzerKind::Path, 0x55be1dea23e3d34eULL},
+      {"infotocap", FuzzerKind::Pcguard, 0xac140f0cab146c6fULL},
+  };
+  for (const Pin &P : Pins) {
+    const Subject *S = targets::findSubject(P.Subject);
+    ASSERT_NE(S, nullptr) << P.Subject;
+    CampaignOptions Opts;
+    Opts.Kind = P.Kind;
+    Opts.ExecBudget = 5000;
+    Opts.Seed = 1;
+    const std::vector<uint8_t> Blob =
+        serializeCampaignResult(runCampaign(*S, Opts));
+    EXPECT_EQ(fnv1a(Blob.data(), Blob.size()), P.Digest)
+        << P.Subject << "/" << fuzzerKindName(P.Kind);
   }
 }
 

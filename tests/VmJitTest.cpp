@@ -42,10 +42,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 using namespace pathfuzz;
 using namespace pathfuzz::strategy;
@@ -285,6 +287,68 @@ fn main() {
     }
   }
   EXPECT_GT(Jit.jitRunStats().Bailouts, 0u);
+}
+
+/// The shadow-edge bitset across word boundaries. Every paper subject fits
+/// in two 64-bit words, so a generated branch ladder with several hundred
+/// edges pins the drain's word arithmetic: interpreter, fast path and JIT
+/// must return equal, strictly ascending edge lists that reach past ids 63
+/// and 64 to numEdges() - 1, and a second run into the same reused result
+/// must carry no stale bits or entries from the first.
+TEST(VmJit, ShadowEdgeBitsetCrossesWordBoundaries) {
+  if (!vm::jit::available())
+    GTEST_SKIP() << "JIT unsupported on this platform";
+  constexpr int Rungs = 120;
+  std::string Src = "fn main() {\n  var x = 0;\n  var i = 0;\n"
+                    "  while (i < len()) {\n    var c = in(i);\n";
+  for (int K = 0; K < Rungs; ++K)
+    Src += "    if (c == " + std::to_string(K) + ") { x = x + " +
+           std::to_string(K % 7 + 1) + "; }\n";
+  Src += "    i = i + 1;\n  }\n  return x;\n}\n";
+  lang::CompileResult CR = lang::compileSource(Src, "ladder");
+  ASSERT_TRUE(CR.ok()) << CR.message();
+  mir::Module M = std::move(*CR.Mod);
+  instr::ShadowEdgeIndex Shadow = instr::ShadowEdgeIndex::build(M);
+  ASSERT_GT(Shadow.numEdges(), 200u);
+  instr::InstrumentOptions IO;
+  IO.Mode = instr::Feedback::Path;
+  instr::instrumentModule(M, IO);
+  vm::ProgramImage Image = vm::ProgramImage::build(M, &Shadow);
+  std::unique_ptr<vm::jit::JitProgram> J = vm::jit::JitProgram::compile(Image);
+  ASSERT_NE(J, nullptr);
+
+  vm::Vm Interp(M, &Shadow), Fast(M, &Shadow), Jit(M, &Shadow);
+  Fast.attachImage(&Image);
+  Jit.attachJit(J.get());
+  vm::Vm *Engines[] = {&Interp, &Fast, &Jit};
+  const char *Names[] = {"interp", "fastpath", "jit"};
+  vm::ExecResult Out[3];
+  vm::ExecOptions EO;
+
+  // Every rung value once, then a miss: both slots of every branch.
+  fuzz::Input All;
+  for (int K = 0; K <= Rungs; ++K)
+    All.push_back(static_cast<uint8_t>(K));
+  for (int E = 0; E < 3; ++E)
+    Engines[E]->run(All.data(), All.size(), EO, nullptr, Out[E]);
+  const std::vector<uint32_t> &Edges = Out[0].ShadowEdges;
+  for (size_t K = 1; K < Edges.size(); ++K)
+    ASSERT_LT(Edges[K - 1], Edges[K]) << "not strictly ascending at " << K;
+  for (uint32_t Id : {63u, 64u, Shadow.numEdges() - 1})
+    EXPECT_TRUE(std::binary_search(Edges.begin(), Edges.end(), Id))
+        << "edge " << Id << " missing";
+  for (int E = 1; E < 3; ++E)
+    EXPECT_EQ(Out[E].ShadowEdges, Edges) << Names[E];
+
+  // A short input into the same results: exactly what a fresh Vm reports.
+  const fuzz::Input Short = {5};
+  vm::Vm Fresh(M, &Shadow);
+  const vm::ExecResult Want = Fresh.run(Short.data(), Short.size(), EO);
+  ASSERT_LT(Want.ShadowEdges.size(), Edges.size());
+  for (int E = 0; E < 3; ++E) {
+    Engines[E]->run(Short.data(), Short.size(), EO, nullptr, Out[E]);
+    expectSameResult(Want, Out[E], Names[E]);
+  }
 }
 
 /// The per-exec capacity guard: options whose worst-case register-stack
